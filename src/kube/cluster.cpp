@@ -89,10 +89,7 @@ KubeCluster::KubeCluster(sim::Simulation& sim, net::Network& net,
     : sim_(sim), net_(net), inventory_(inventory), metrics_(metrics),
       options_(options) {
   create_namespace("default");
-  free_buckets_.resize(kClassCount);
-  cap_buckets_.resize(kClassCount);
   sched_candidates_.reserve(64);
-  sel_scratch_.reserve(64);
   inventory_.subscribe([this](cluster::MachineId m, bool up) { on_machine_state(m, up); });
   audit_hook_ = sim_.add_audit_hook([this] { check_invariants(); });
 }
@@ -127,10 +124,10 @@ void KubeCluster::register_node(cluster::MachineId machine, Labels extra_labels)
   info.pods.reserve(8);  // steady-state churn stays within the high water
   auto [it, inserted] = nodes_.try_emplace(machine);
   if (!inserted) {
-    // Re-register: replace the label set (drop the stale index slots and
-    // postings first) but keep runtime state — relabeling a live node must
-    // not orphan its bound pods or leak their allocations/device grants.
-    index_remove(it->second);
+    // Re-register: replace the label set (drop the stale postings first)
+    // but keep runtime state — relabeling a live node must not orphan its
+    // bound pods or leak their allocations/device grants. The NodeInfo is
+    // assigned in place, so its node-table entry stays valid.
     unindex_node_labels(it->second);
     info.allocated = it->second.allocated;
     info.gpu_in_use = std::move(it->second.gpu_in_use);
@@ -140,7 +137,7 @@ void KubeCluster::register_node(cluster::MachineId machine, Labels extra_labels)
     info.unschedulable = it->second.unschedulable;
   }
   it->second = std::move(info);
-  reindex_node(it->second);
+  update_table(it->second);
   index_node_labels(it->second);
   for (auto& [key, ds] : daemon_sets_) reconcile_daemon_set(ds);
   kick_scheduler();
@@ -169,13 +166,13 @@ ResourceList KubeCluster::total_allocated() const {
 void KubeCluster::cordon(cluster::MachineId machine) {
   NodeInfo& info = nodes_.at(machine);
   info.unschedulable = true;
-  reindex_node(info);
+  update_table(info);
 }
 
 void KubeCluster::uncordon(cluster::MachineId machine) {
   NodeInfo& info = nodes_.at(machine);
   info.unschedulable = false;
-  reindex_node(info);
+  update_table(info);
   kick_scheduler();
 }
 
@@ -729,39 +726,32 @@ void KubeCluster::check_invariants() const {
     CHASE_INVARIANT(pod != nullptr && !pod->terminal() && pod->node < 0,
                     "scheduler queue holds a terminal or already-bound pod");
   }
-  // Feasibility index: every schedulable node sits in exactly the bucket its
-  // current headroom/capacity class dictates, and the buckets hold nothing
-  // else (sorted, no duplicates, totals match the schedulable node count).
+  // Node table: strictly ascending by machine id, holding exactly the ready,
+  // uncordoned nodes of nodes_, each entry pointing at its node's live
+  // NodeInfo with classes equal to the node's current headroom / capacity
+  // class. Ascending + distinct schedulable entries + equal count means the
+  // table is exactly the schedulable set.
   std::size_t schedulable = 0;
-  for (const auto& [machine, info] : nodes_) {
-    const bool member = info.ready && !info.unschedulable;
-    const int fc = member ? resource_class(info.allocatable.cpu - info.allocated.cpu,
-                                           info.allocatable.gpus - info.allocated.gpus)
-                          : -1;
-    const int cc =
-        member ? resource_class(info.allocatable.cpu, info.allocatable.gpus) : -1;
-    schedulable += member ? 1 : 0;
-    CHASE_INVARIANT(info.idx_free == fc && info.idx_cap == cc,
-                    "node's feasibility-index slot is stale for its class");
-    if (member) {
-      const auto& fb = free_buckets_[static_cast<std::size_t>(fc)];
-      const auto& cb = cap_buckets_[static_cast<std::size_t>(cc)];
-      CHASE_INVARIANT(std::binary_search(fb.begin(), fb.end(), machine) &&
-                          std::binary_search(cb.begin(), cb.end(), machine),
-                      "schedulable node missing from its feasibility bucket");
-    }
+  for (const auto& [machine, info] : nodes_) schedulable += info.ready && !info.unschedulable;
+  CHASE_INVARIANT(node_table_.size() == schedulable,
+                  "node table size diverged from the schedulable node set");
+  for (std::size_t i = 0; i < node_table_.size(); ++i) {
+    const TableEntry& entry = node_table_[i];
+    CHASE_INVARIANT(i == 0 || node_table_[i - 1].machine < entry.machine,
+                    "node table not strictly ascending by machine id");
+    const auto it = nodes_.find(entry.machine);
+    const bool live = it != nodes_.end() && entry.info == &it->second;
+    CHASE_INVARIANT(live, "node table entry points at a stale or unregistered NodeInfo");
+    if (!live) continue;
+    const NodeInfo& info = it->second;
+    CHASE_INVARIANT(info.ready && !info.unschedulable,
+                    "node table lists a node that is not ready or is cordoned");
+    CHASE_INVARIANT(entry.headroom == resource_class(info.allocatable.cpu - info.allocated.cpu,
+                                                     info.allocatable.gpus - info.allocated.gpus) &&
+                        entry.capacity ==
+                            resource_class(info.allocatable.cpu, info.allocatable.gpus),
+                    "node table entry's cached class is stale");
   }
-  std::size_t free_slots = 0;
-  std::size_t cap_slots = 0;
-  for (int b = 0; b < kClassCount; ++b) {
-    CHASE_INVARIANT(std::is_sorted(free_buckets_[b].begin(), free_buckets_[b].end()) &&
-                        std::is_sorted(cap_buckets_[b].begin(), cap_buckets_[b].end()),
-                    "feasibility bucket out of machine-id order");
-    free_slots += free_buckets_[b].size();
-    cap_slots += cap_buckets_[b].size();
-  }
-  CHASE_INVARIANT(free_slots == schedulable && cap_slots == schedulable,
-                  "feasibility index size diverged from the schedulable node set");
   // Inverted label index: every label a node carries has a posting holding
   // that node; at level 2 the whole index is rescanned — postings sorted,
   // deduped, and every slot justified by the node's actual label set.
@@ -886,8 +876,11 @@ void KubeCluster::scheduling_pass() {
 }
 
 bool KubeCluster::node_admits(const NodeInfo& info, const Pod& pod) const {
-  if (!info.ready || info.unschedulable) return false;
-  if (!selector_matches(pod.spec.node_selector, info.labels)) return false;
+  return info.ready && !info.unschedulable &&
+         selector_matches(pod.spec.node_selector, info.labels) && tolerates_taints(info, pod);
+}
+
+bool KubeCluster::tolerates_taints(const NodeInfo& info, const Pod& pod) {
   for (const auto& taint : info.taints) {
     if (taint.effect != TaintEffect::NoSchedule &&
         taint.effect != TaintEffect::NoExecute) {
@@ -902,79 +895,72 @@ bool KubeCluster::node_admits(const NodeInfo& info, const Pod& pod) const {
   return true;
 }
 
-// --- feasibility index --------------------------------------------------------------
+// --- node table ---------------------------------------------------------------------
 
-int KubeCluster::resource_class(double cpu, int gpus) {
-  const int g = std::clamp(gpus, 0, kGpuClassMax);
+KubeCluster::ResourceClass KubeCluster::resource_class(double cpu, int gpus) {
   const auto whole = cpu <= 0.0 ? 0ull : static_cast<unsigned long long>(cpu);
-  const int c = std::min(static_cast<int>(std::bit_width(whole)), kCpuClassMax);
-  return g * (kCpuClassMax + 1) + c;
+  return {static_cast<std::uint8_t>(std::clamp(gpus, 0, kGpuClassMax)),
+          static_cast<std::uint8_t>(
+              std::min(static_cast<int>(std::bit_width(whole)), kCpuClassMax))};
 }
 
-void KubeCluster::index_remove(NodeInfo& info) {
-  const auto drop = [&](std::vector<cluster::MachineId>& bucket) {
-    bucket.erase(std::remove(bucket.begin(), bucket.end(), info.machine), bucket.end());
-  };
-  if (info.idx_free >= 0) drop(free_buckets_[info.idx_free]);
-  if (info.idx_cap >= 0) drop(cap_buckets_[info.idx_cap]);
-  info.idx_free = -1;
-  info.idx_cap = -1;
-}
-
-void KubeCluster::reindex_node(NodeInfo& info) {
-  const bool member = info.ready && !info.unschedulable;
-  const int fc = member ? resource_class(info.allocatable.cpu - info.allocated.cpu,
-                                         info.allocatable.gpus - info.allocated.gpus)
-                        : -1;
-  const int cc = member ? resource_class(info.allocatable.cpu, info.allocatable.gpus) : -1;
-  if (info.idx_free == fc && info.idx_cap == cc) return;
-  index_remove(info);
-  const auto put = [&](std::vector<cluster::MachineId>& bucket) {
-    bucket.insert(std::lower_bound(bucket.begin(), bucket.end(), info.machine),
-                  info.machine);
-  };
-  if (fc >= 0) put(free_buckets_[fc]);
-  if (cc >= 0) put(cap_buckets_[cc]);
-  info.idx_free = fc;
-  info.idx_cap = cc;
-}
-
-void KubeCluster::gather_candidates(const ResourceList& requests, bool by_capacity) {
-  // Both class functions are monotone, so every node with enough headroom
-  // (or capacity) sits in a bucket at or above the request's class in both
-  // axes: the scan below is a feasibility superset, never a miss. The merge
-  // re-sorts by machine id so scoring visits candidates in the same order
-  // as the old full nodes_ scan.
-  sched_candidates_.clear();
-  const auto& buckets = by_capacity ? cap_buckets_ : free_buckets_;
-  const int g_lo = std::clamp(requests.gpus, 0, kGpuClassMax);
-  const auto whole = requests.cpu <= 0.0 ? 0ull : static_cast<unsigned long long>(requests.cpu);
-  const int c_lo = std::min(static_cast<int>(std::bit_width(whole)), kCpuClassMax);
-  for (int g = g_lo; g <= kGpuClassMax; ++g) {
-    for (int c = c_lo; c <= kCpuClassMax; ++c) {
-      const auto& bucket = buckets[g * (kCpuClassMax + 1) + c];
-      sched_candidates_.insert(sched_candidates_.end(), bucket.begin(), bucket.end());
-    }
+void KubeCluster::update_table(const NodeInfo& info) {
+  const auto it = std::lower_bound(
+      node_table_.begin(), node_table_.end(), info.machine,
+      [](const TableEntry& e, cluster::MachineId m) { return e.machine < m; });
+  const bool listed = it != node_table_.end() && it->machine == info.machine;
+  if (!info.ready || info.unschedulable) {
+    if (listed) node_table_.erase(it);
+    return;
   }
-  std::sort(sched_candidates_.begin(), sched_candidates_.end());
+  TableEntry& entry =
+      listed ? *it : *node_table_.insert(it, TableEntry{info.machine, {}, {}, &info});
+  entry.headroom = resource_class(info.allocatable.cpu - info.allocated.cpu,
+                                  info.allocatable.gpus - info.allocated.gpus);
+  entry.capacity = resource_class(info.allocatable.cpu, info.allocatable.gpus);
 }
 
-bool KubeCluster::has_capacity_for(const ResourceList& requests) const {
-  // Same monotone-class superset scan as gather_candidates, but read-only and
-  // short-circuiting: answers "could this pod EVER bind here" without
-  // touching scheduler scratch state (used by the federation controller).
-  const int g_lo = std::clamp(requests.gpus, 0, kGpuClassMax);
-  const auto whole =
-      requests.cpu <= 0.0 ? 0ull : static_cast<unsigned long long>(requests.cpu);
-  const int c_lo = std::min(static_cast<int>(std::bit_width(whole)), kCpuClassMax);
-  for (int g = g_lo; g <= kGpuClassMax; ++g) {
-    for (int c = c_lo; c <= kCpuClassMax; ++c) {
-      for (cluster::MachineId machine : cap_buckets_[g * (kCpuClassMax + 1) + c]) {
-        if (requests.fits_within(nodes_.find(machine)->second.allocatable)) return true;
+void KubeCluster::gather_candidates(const Pod& pod, const ResourceList& requests,
+                                    bool by_capacity) {
+  // Both class parts are monotone, so the class filter is a feasibility
+  // superset, never a miss. Every list walked here ascends by machine id,
+  // so the candidates come out in the full scan's order without a sort.
+  sched_candidates_.clear();
+  const ResourceClass need = resource_class(requests.cpu, requests.gpus);
+  const ResourceClass TableEntry::*cls =
+      by_capacity ? &TableEntry::capacity : &TableEntry::headroom;
+  const std::vector<cluster::MachineId>& match = resolve_selector_nodes(pod.spec.node_selector);
+  if (match.size() == nodes_.size()) {  // the selector admits every node
+    for (const TableEntry& entry : node_table_) {
+      if ((entry.*cls).covers(need)) sched_candidates_.push_back(entry.info);
+    }
+  } else {  // merge the selector's node list into the table walk
+    auto t = node_table_.begin();
+    for (cluster::MachineId machine : match) {
+      while (t != node_table_.end() && t->machine < machine) ++t;
+      if (t == node_table_.end()) break;
+      if (t->machine == machine && ((*t).*cls).covers(need)) {
+        sched_candidates_.push_back(t->info);
       }
     }
   }
-  return false;
+  if (util::audit_level() >= 2) {
+    for (const NodeInfo* info : sched_candidates_) {
+      CHASE_AUDIT(info->ready && !info->unschedulable &&
+                      selector_matches(pod.spec.node_selector, info->labels),
+                  "scheduling candidate is unschedulable or fails the pod's node selector");
+    }
+  }
+}
+
+bool KubeCluster::has_capacity_for(const ResourceList& requests) const {
+  // Same monotone-class superset walk as gather_candidates, but read-only and
+  // short-circuiting: answers "could this pod EVER bind here" without
+  // touching scheduler scratch state (used by the federation controller).
+  const ResourceClass need = resource_class(requests.cpu, requests.gpus);
+  return std::any_of(node_table_.begin(), node_table_.end(), [&](const TableEntry& entry) {
+    return entry.capacity.covers(need) && requests.fits_within(entry.info->allocatable);
+  });
 }
 
 // --- inverted label index -----------------------------------------------------------
@@ -1005,15 +991,19 @@ const std::vector<cluster::MachineId>& KubeCluster::resolve_selector_nodes(
   // Memoize per serialized selector; Labels is an ordered map, so equal
   // selectors serialize identically. Entries are epoch-validated, never
   // evicted — the live selector population (DaemonSets, pod templates) is
-  // small and stable.
-  std::string key;
-  for (const auto& [k, v] : selector) {
-    key += k;
-    key += '\x1F';
-    key += v;
-    key += '\x1E';
+  // small and stable. A repeat of the last selector skips the key build.
+  if (last_selector_ == nullptr || last_selector_->selector != selector) {
+    std::string key;
+    for (const auto& [k, v] : selector) {
+      key += k;
+      key += '\x1F';
+      key += v;
+      key += '\x1E';
+    }
+    last_selector_ = &selector_cache_[key];
+    if (last_selector_->stamp == 0) last_selector_->selector = selector;
   }
-  SelectorCache& cached = selector_cache_[key];
+  SelectorCache& cached = *last_selector_;
   if (cached.stamp == label_epoch_) return cached.nodes;
   cached.stamp = label_epoch_;
   cached.nodes.clear();
@@ -1043,29 +1033,19 @@ std::vector<cluster::MachineId> KubeCluster::nodes_matching(const Labels& select
   return resolve_selector_nodes(selector);
 }
 
-void KubeCluster::filter_candidates_by_selector(const Labels& selector) {
-  if (selector.empty() || sched_candidates_.empty()) return;
-  const std::vector<cluster::MachineId>& match = resolve_selector_nodes(selector);
-  sel_scratch_.clear();
-  std::set_intersection(sched_candidates_.begin(), sched_candidates_.end(),
-                        match.begin(), match.end(), std::back_inserter(sel_scratch_));
-  sched_candidates_.swap(sel_scratch_);
-}
-
 bool KubeCluster::try_preempt(const Pod& pod) {
   const ResourceList requests = pod.requests();
   // Pick the node where evicting the cheapest set of strictly-lower-priority
   // pods frees enough room; prefer evicting as little priority as possible.
-  // Candidates come from the capacity-class buckets: preemption can free
+  // Candidates are filtered by capacity class: preemption can free
   // anything allocated, so total capacity is the binding constraint.
   cluster::MachineId best_node = -1;
   std::vector<PodPtr> best_victims;
   int best_cost = INT_MAX;
-  gather_candidates(requests, /*by_capacity=*/true);
-  filter_candidates_by_selector(pod.spec.node_selector);
-  for (cluster::MachineId machine : sched_candidates_) {
-    NodeInfo& info = nodes_.find(machine)->second;
-    if (!node_admits(info, pod)) continue;
+  gather_candidates(pod, requests, /*by_capacity=*/true);
+  for (const NodeInfo* candidate : sched_candidates_) {
+    const NodeInfo& info = *candidate;
+    if (!info.taints.empty() && !tolerates_taints(info, pod)) continue;
     if (requests.fits_within(info.allocatable) == false) continue;
     // Candidate victims: lower-priority pods, lowest priority first.
     std::vector<PodPtr> candidates;
@@ -1094,7 +1074,7 @@ bool KubeCluster::try_preempt(const Pod& pod) {
     if (!after.fits_within(info.allocatable)) continue;  // still no room
     if (!victims.empty() && cost < best_cost) {
       best_cost = cost;
-      best_node = machine;
+      best_node = info.machine;
       best_victims = victims;
     }
   }
@@ -1122,8 +1102,7 @@ std::optional<cluster::MachineId> KubeCluster::pick_node(const Pod& pod) {
   }
   std::optional<cluster::MachineId> best;
   double best_score = -1.0;
-  gather_candidates(requests, /*by_capacity=*/false);
-  filter_candidates_by_selector(pod.spec.node_selector);
+  gather_candidates(pod, requests, /*by_capacity=*/false);
   // Sampled scoring (Kubernetes' percentageOfNodesToScore, determinized):
   // above the threshold, score at most score_sample_max FEASIBLE candidates
   // starting at a rotating offset so load still spreads across the fleet.
@@ -1140,10 +1119,9 @@ std::optional<cluster::MachineId> KubeCluster::pick_node(const Pod& pod) {
   for (std::size_t k = 0; k < n && budget > 0; ++k) {
     std::size_t j = start + k;
     if (j >= n) j -= n;  // wrap
-    const cluster::MachineId machine = sched_candidates_[j];
-    const NodeInfo& info = nodes_.find(machine)->second;
-    if (!node_admits(info, pod)) continue;
-    ResourceList would = info.allocated + requests;
+    const NodeInfo& info = *sched_candidates_[j];
+    if (!info.taints.empty() && !tolerates_taints(info, pod)) continue;
+    const ResourceList would = info.allocated + requests;
     if (!would.fits_within(info.allocatable)) continue;
     --budget;
     // Spread: prefer the node with the most free CPU/GPU fraction
@@ -1157,7 +1135,7 @@ std::optional<cluster::MachineId> KubeCluster::pick_node(const Pod& pod) {
     if (options_.policy == SchedulingPolicy::BinPack) score = -score;
     if (score > best_score) {
       best_score = score;
-      best = machine;
+      best = info.machine;
     }
   }
   return best;
@@ -1167,7 +1145,7 @@ void KubeCluster::bind(const PodPtr& pod, cluster::MachineId machine) {
   NodeInfo& info = nodes_.at(machine);
   pod->node = machine;
   info.allocated += pod->requests();
-  reindex_node(info);  // headroom class may have dropped
+  update_table(info);  // headroom class may have dropped
   info.pods.push_back(pod);
   // Device plugin: grant specific GPU ids.
   const int want = pod->requests().gpus;
@@ -1261,7 +1239,7 @@ void KubeCluster::release_node_resources(const PodPtr& pod) {
   if (it == nodes_.end()) return;
   NodeInfo& info = it->second;
   info.allocated -= pod->requests();
-  reindex_node(info);  // headroom class may have risen
+  update_table(info);  // headroom class may have risen
   for (int gpu : pod->gpu_ids) {
     if (gpu >= 0 && gpu < static_cast<int>(info.gpu_in_use.size())) {
       info.gpu_in_use[static_cast<std::size_t>(gpu)] = false;
@@ -1307,7 +1285,7 @@ void KubeCluster::on_machine_state(cluster::MachineId machine, bool up) {
   if (it == nodes_.end()) return;
   NodeInfo& info = it->second;
   info.ready = up;
-  reindex_node(info);
+  update_table(info);
   if (!up) {
     // Node controller: evict every pod bound to the lost node; their owners
     // (Job/ReplicaSet controllers) recreate them elsewhere (paper §V: "If a

@@ -11,6 +11,7 @@
 /// ReplicaSets) and the controllers converge on it, including rescheduling
 /// pods off failed nodes (§V).
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
@@ -92,11 +93,6 @@ struct NodeInfo {
   std::vector<bool> gpu_in_use;
   std::vector<std::string> image_cache;
   std::vector<PodPtr> pods;  // non-terminal pods bound here
-  /// Feasibility-index slots (KubeCluster::reindex_node): the headroom /
-  /// capacity class bucket currently holding this node, or -1 while the
-  /// node is out of the index (not ready, or cordoned).
-  int idx_free = -1;
-  int idx_cap = -1;
 };
 
 class KubeCluster {
@@ -270,49 +266,61 @@ class KubeCluster {
   void scheduling_pass();
   std::optional<cluster::MachineId> pick_node(const Pod& pod);
   bool node_admits(const NodeInfo& info, const Pod& pod) const;
+  static bool tolerates_taints(const NodeInfo& info, const Pod& pod);
   /// Try to make room for `pod` by evicting lower-priority pods on one
   /// node; returns true if preemption happened.
   bool try_preempt(const Pod& pod);
   void evict_pod(const PodPtr& pod, const std::string& reason);
   void bind(const PodPtr& pod, cluster::MachineId machine);
 
-  // Feasibility index: schedulable (ready, uncordoned) nodes bucketed by a
-  // resource class — (free GPUs clamped to kGpuClassMax) x (bit width of
-  // whole free CPU cores, clamped to kCpuClassMax). Both class functions
-  // are monotone in the underlying resources, so every node that could fit
-  // a request lives in a bucket at or above the request's own class:
-  // pick_node / try_preempt scan that bucket range instead of all of
-  // nodes_. Candidates are sorted by machine id before scoring, which
-  // reproduces the old full-scan's first-best tie-break exactly.
-  static constexpr int kGpuClassMax = 8;   // free GPUs 0..8+ (FIONA8s)
+  // Node table: every schedulable (ready, uncordoned) node, ascending
+  // machine id, with its resource classes cached. A class is (GPUs clamped
+  // to kGpuClassMax, bit width of whole CPU cores clamped to kCpuClassMax);
+  // both parts are monotone in the resources, so a node whose class does
+  // not cover the request's class in both parts cannot fit it. pick_node /
+  // try_preempt / has_capacity_for filter the table in one ascending walk.
+  // The walk yields candidates already in machine-id order, so scoring
+  // keeps the full scan's first-best tie-break, and the candidate count n
+  // (hence the sampling rotor's start = rotor % n) is the exact count of
+  // class-feasible, selector-matching schedulable nodes.
+  static constexpr int kGpuClassMax = 8;   // GPUs 0..8+ (FIONA8s)
   static constexpr int kCpuClassMax = 10;  // bit_width(cores) 0..10 (1024+)
-  static constexpr int kClassCount = (kGpuClassMax + 1) * (kCpuClassMax + 1);
-  static int resource_class(double cpu, int gpus);
-  /// Reconcile one node's index slots with its current state (membership,
-  /// headroom class, capacity class). Call after any change to ready /
-  /// unschedulable / allocated / allocatable.
-  void reindex_node(NodeInfo& info);
-  void index_remove(NodeInfo& info);
-  /// Collect schedulable nodes whose class could fit `requests` into
-  /// sched_candidates_, ascending machine id. `by_capacity` selects the
-  /// allocatable-class buckets (preemption) over the headroom ones.
-  void gather_candidates(const ResourceList& requests, bool by_capacity);
+  struct ResourceClass {
+    std::uint8_t gpus = 0;
+    std::uint8_t cpu = 0;
+    bool covers(ResourceClass need) const { return gpus >= need.gpus && cpu >= need.cpu; }
+    bool operator==(const ResourceClass&) const = default;
+  };
+  static ResourceClass resource_class(double cpu, int gpus);
+  struct TableEntry {
+    cluster::MachineId machine;
+    ResourceClass headroom;  // class of allocatable - allocated
+    ResourceClass capacity;  // class of allocatable
+    const NodeInfo* info;    // nodes_ entries never move or get erased
+  };
+  /// Bring one node's table entry in line with its state: insert or erase
+  /// it on a ready / cordon change, refresh its cached classes otherwise.
+  /// Call after any change to ready / unschedulable / allocated.
+  void update_table(const NodeInfo& info);
+  /// Fill sched_candidates_ with the table nodes whose headroom class (or,
+  /// with `by_capacity`, capacity class) covers the pod's requests and that
+  /// its node selector matches, ascending machine id. The selector is
+  /// merged into the walk from its resolved node list, so candidates need
+  /// no per-node label check.
+  void gather_candidates(const Pod& pod, const ResourceList& requests, bool by_capacity);
 
   // Inverted label index: "key\x1Fvalue" -> machine ids (ascending) of every
   // registered node carrying that label. Selector matching over thousands of
   // nodes intersects postings instead of scanning nodes_; resolutions are
   // memoized per serialized selector and invalidated by label_epoch_, which
   // bumps on any node (re)registration. DaemonSet reconciles and
-  // selector-bearing pick_node/try_preempt queries hit the cache.
+  // gather_candidates hit the cache.
   void index_node_labels(const NodeInfo& info);
   void unindex_node_labels(const NodeInfo& info);
   /// Cached resolution of a full selector to its matching node set
   /// (ascending machine id). The reference is valid until the next label
   /// mutation; hot paths must not hold it across suspension points.
   const std::vector<cluster::MachineId>& resolve_selector_nodes(const Labels& selector);
-  /// Drop sched_candidates_ entries whose node fails `selector` — a sorted
-  /// intersection with the resolved selector set (no per-node map walks).
-  void filter_candidates_by_selector(const Labels& selector);
 
   // kubelet
   static sim::Task run_pod(KubeCluster* self, PodPtr pod);
@@ -355,20 +363,21 @@ class KubeCluster {
   std::map<std::string, ServiceSpec> services_;
   std::map<std::string, std::size_t> service_rr_;
   std::deque<PodPtr> pending_;
-  /// Feasibility-index buckets (machine ids, ascending) and the candidate
-  /// scratch reused by every scheduling query.
-  std::vector<std::vector<cluster::MachineId>> free_buckets_;
-  std::vector<std::vector<cluster::MachineId>> cap_buckets_;
-  std::vector<cluster::MachineId> sched_candidates_;
+  /// Node table and the candidate scratch reused by every scheduling query.
+  std::vector<TableEntry> node_table_;
+  std::vector<const NodeInfo*> sched_candidates_;
   /// Inverted label index + epoch-stamped selector-resolution cache.
   struct SelectorCache {
+    Labels selector;
     std::uint64_t stamp = 0;  // valid iff == label_epoch_
     std::vector<cluster::MachineId> nodes;
   };
   std::map<std::string, std::vector<cluster::MachineId>> label_index_;
   std::map<std::string, SelectorCache> selector_cache_;
+  /// The most recent resolution: consecutive queries mostly carry the same
+  /// selector (pods of one Job template), which then skips the key build.
+  SelectorCache* last_selector_ = nullptr;
   std::uint64_t label_epoch_ = 1;
-  std::vector<cluster::MachineId> sel_scratch_;  // intersection scratch
   /// Sampled-scoring rotation state: advances once per sampled pick_node so
   /// successive pods start their feasibility walk at different offsets
   /// (deterministic — part of replay state, see DESIGN.md).

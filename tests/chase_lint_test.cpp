@@ -313,6 +313,20 @@ TEST(LintChecks, EveryCheckHasADescription) {
                "chase_lint check");
 }
 
+TEST(LintConfig, HotFunctionUseIsTrackedPerEntry) {
+  // The tree walk reports hot-function entries no definition matched;
+  // analyze_source marks the live ones, qualified and bare alike.
+  Config cfg = tree_config();
+  cfg.hot_functions = {"Fabric::hot_method", "renamed_away", "hot_fn"};
+  std::vector<char> used(cfg.hot_functions.size(), 0);
+  const std::string src =
+      "struct Fabric { void hot_method(); };\n"
+      "void Fabric::hot_method() {}\n"
+      "void hot_fn() {}\n";
+  chase::lint::analyze_source("hot_use.cpp", src, cfg, nullptr, nullptr, &used);
+  EXPECT_EQ(used, (std::vector<char>{1, 0, 1}));
+}
+
 TEST(LintConfig, ParsesPerfDirectives) {
   const fs::path p = fs::temp_directory_path() / "chase_lint_perf.cfg";
   {
@@ -329,6 +343,7 @@ TEST(LintConfig, ParsesPerfDirectives) {
   EXPECT_EQ(cfg.hot_paths, std::vector<std::string>{"src/sim/"});
   EXPECT_EQ(cfg.hot_functions,
             std::vector<std::string>{"Network::recompute_rates"});
+  EXPECT_EQ(cfg.hot_function_lines, std::vector<int>{2});
   EXPECT_EQ(cfg.expensive_types, std::vector<std::string>{"BigConfig"});
   EXPECT_EQ(cfg.allow_copy_types, std::vector<std::string>{"CheapHandle"});
   ASSERT_EQ(cfg.allow_files.size(), 1u);

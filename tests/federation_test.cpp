@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "kube/cluster.hpp"
 #include "kube/federation.hpp"
+#include "util/check.hpp"
 
 namespace ck = chase::kube;
 namespace cc = chase::cluster;
@@ -259,4 +262,150 @@ TEST(Federation, InventoryAtSiteCarvesPools) {
   for (cc::MachineId m : pool) {
     EXPECT_EQ(bed.inventory.machine(m).spec.site, "site-1");
   }
+}
+
+// --- placement golden hashes -------------------------------------------------
+
+namespace {
+
+/// FNV-1a over every pod watch notification (uid, phase, node, sim time), in
+/// notification order. Each bound pod reports its node when it starts
+/// running or is evicted, so the hash pins which node every placement chose
+/// and when; a scheduler change that alters any choice changes the hash.
+struct PlacementHash {
+  std::uint64_t h = 14695981039346656037ull;
+  void mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+};
+
+struct PlacementRun {
+  std::uint64_t hash = 0;
+  int preempted = 0;
+  int completed_jobs = 0;
+};
+
+ck::JobSpec golden_job(const std::string& name, ck::ResourceList requests,
+                       double run_seconds, int completions, int parallelism,
+                       int priority = 0, ck::Labels selector = {}) {
+  ck::JobSpec job = one_shot_job(name, requests, run_seconds);
+  job.completions = completions;
+  job.parallelism = parallelism;
+  job.backoff_limit = 1000;
+  job.pod_template.priority = priority;
+  job.pod_template.node_selector = std::move(selector);
+  return job;
+}
+
+/// One site of 12 FIONA8s and 4 CPU-only FIONAs (pool=even/odd labels)
+/// running a mixed job stream plus a DaemonSet, with a cordon, a NoSchedule
+/// and a NoExecute taint, a node crash, a live relabel, a drain, and a
+/// high-priority pod that only fits by preempting low-priority fillers.
+PlacementRun run_placement_script(ck::KubeCluster::SchedulingPolicy policy,
+                                  int score_sample_max) {
+  ck::KubeCluster::Options opt;
+  opt.policy = policy;
+  opt.score_sample_max = score_sample_max;
+  cs::Simulation sim;
+  cn::Network net{sim};
+  cc::Inventory inventory{net};
+  ck::KubeCluster kube(sim, net, inventory, nullptr, opt);
+  const cn::NodeId sw = net.add_node("sw");
+  std::vector<cc::MachineId> machines;
+  for (int i = 0; i < 16; ++i) {
+    const std::string name = "n" + std::to_string(i);
+    const cn::NodeId nn = net.add_node(name);
+    net.add_link(nn, sw, cu::gbit_per_s(20), 1e-4);
+    const cc::MachineId m = inventory.add(
+        i < 12 ? cc::fiona8(name, "UCSD") : cc::fiona(name, "UCSD"), nn);
+    kube.register_node(m, {{"pool", i % 2 == 0 ? "even" : "odd"}});
+    machines.push_back(m);
+  }
+
+  PlacementRun run;
+  PlacementHash hash;
+  kube.watch_pods([&](const ck::PodPtr& pod) {
+    hash.mix(pod->meta.uid);
+    hash.mix(static_cast<std::uint64_t>(pod->phase));
+    hash.mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(pod->node)));
+    hash.mix(std::bit_cast<std::uint64_t>(sim.now()));
+    run.preempted += pod->reason == "Preempted";
+  });
+
+  ck::DaemonSetSpec ds;
+  ds.ns = "default";
+  ds.name = "exporter";
+  ck::ContainerSpec daemon;
+  daemon.requests = {0.25, cu::gb(1), 0};
+  daemon.program = [](ck::PodContext& ctx) -> cs::Task { co_await ctx.sim().sleep(1e6); };
+  ds.pod_template.containers.push_back(std::move(daemon));
+  EXPECT_TRUE(kube.create_daemon_set(ds).ok());
+
+  std::vector<ck::JobPtr> jobs;
+  const auto submit = [&](ck::JobSpec job) {
+    auto r = kube.create_job(std::move(job));
+    EXPECT_TRUE(r.ok()) << r.error;
+    if (r.ok()) jobs.push_back(r.value);
+  };
+  submit(golden_job("gpu-small", {2, cu::gb(2), 1}, 3.0, 60, 24));
+  submit(golden_job("cpu", {3.5, cu::gb(4), 0}, 2.0, 40, 16));
+  submit(golden_job("odd-pool", {1, cu::gb(1), 2}, 4.0, 30, 8, 0, {{"pool", "odd"}}));
+  submit(golden_job("wide", {12, cu::gb(32), 4}, 5.0, 10, 4));
+  sim.schedule(10.0, [&] { submit(golden_job("filler", {12, cu::gb(8), 6}, 50.0, 12, 12)); });
+  sim.schedule(12.0, [&] { submit(golden_job("urgent", {1, cu::gb(1), 8}, 5.0, 1, 1, 5)); });
+
+  sim.schedule(6.0, [&] { kube.cordon(machines[3]); });
+  sim.schedule(14.0, [&] { kube.uncordon(machines[3]); });
+  sim.schedule(8.0, [&] {
+    kube.add_taint(machines[5], ck::Taint{"maint", "x", ck::TaintEffect::NoSchedule});
+  });
+  sim.schedule(20.0, [&] { kube.remove_taint(machines[5], "maint"); });
+  sim.schedule(9.0, [&] {
+    kube.add_taint(machines[6], ck::Taint{"evict", "x", ck::TaintEffect::NoExecute});
+  });
+  sim.schedule(16.0, [&] { kube.remove_taint(machines[6], "evict"); });
+  sim.schedule(10.5, [&] { inventory.set_up(machines[7], false); });
+  sim.schedule(18.0, [&] { inventory.set_up(machines[7], true); });
+  sim.schedule(22.0, [&] { kube.register_node(machines[2], {{"pool", "odd"}}); });
+  sim.schedule(25.0, [&] { kube.drain(machines[9]); });
+  sim.schedule(30.0, [&] { kube.uncordon(machines[9]); });
+
+  sim.run(400.0);
+  kube.check_invariants();
+  for (const auto& job : jobs) run.completed_jobs += job->complete;
+  run.hash = hash.h;
+  return run;
+}
+
+void expect_golden(ck::KubeCluster::SchedulingPolicy policy, int score_sample_max,
+                   std::uint64_t golden) {
+  const int prev_audit = cu::set_audit_level(2);
+  const PlacementRun run = run_placement_script(policy, score_sample_max);
+  cu::set_audit_level(prev_audit);
+  EXPECT_EQ(run.completed_jobs, 6);
+  EXPECT_GT(run.preempted, 0);  // the urgent pod went through try_preempt
+  EXPECT_EQ(run.hash, golden) << std::hex << "0x" << run.hash;
+}
+
+}  // namespace
+
+// Golden values recorded on the scheduler before the dense node table
+// replaced the feasibility buckets; placements must stay bit-identical.
+TEST(PlacementGolden, SpreadExhaustive) {
+  expect_golden(ck::KubeCluster::SchedulingPolicy::Spread, 256, 0x75e0c522ec50eccfull);
+}
+
+TEST(PlacementGolden, BinPackExhaustive) {
+  expect_golden(ck::KubeCluster::SchedulingPolicy::BinPack, 256, 0x478608f547f114beull);
+}
+
+TEST(PlacementGolden, SpreadSampledRotor) {
+  expect_golden(ck::KubeCluster::SchedulingPolicy::Spread, 3, 0x3d41bcad9d2a01fcull);
+}
+
+TEST(PlacementGolden, BinPackSampledRotor) {
+  expect_golden(ck::KubeCluster::SchedulingPolicy::BinPack, 3, 0x2d8153f090037d93ull);
 }

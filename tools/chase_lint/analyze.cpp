@@ -81,6 +81,7 @@ struct Analyzer {
   std::unordered_set<std::string> reserved_names;  // receivers with X.reserve(
   std::vector<char>* allow_file_used = nullptr;    // parallel to cfg.allow_files
   std::vector<char>* allow_unordered_used = nullptr;  // parallel to cfg.allow_unordered
+  std::vector<char>* hot_function_used = nullptr;     // parallel to cfg.hot_functions
 
   explicit Analyzer(const std::string& p, const LexResult& lexed, const Config& c)
       : path(p), cfg(c), toks(lexed.tokens), comments(lexed.comments) {}
@@ -281,10 +282,11 @@ struct Analyzer {
     }
     for (Fn& fn : fns) {
       fn.is_hot = file_hot;
-      for (const std::string& h : cfg.hot_functions) {
-        if (h == fn.name || (!fn.qualified.empty() && h == fn.qualified)) {
+      for (std::size_t h = 0; h < cfg.hot_functions.size(); ++h) {
+        const std::string& name = cfg.hot_functions[h];
+        if (name == fn.name || (!fn.qualified.empty() && name == fn.qualified)) {
           fn.is_hot = true;
-          break;
+          if (hot_function_used != nullptr) (*hot_function_used)[h] = 1;
         }
       }
     }
@@ -1871,6 +1873,7 @@ bool load_config(const std::string& path, Config* cfg, std::string* error) {
       cfg->hot_paths.push_back(value);
     } else if (key == "hot-function") {
       cfg->hot_functions.push_back(value);
+      cfg->hot_function_lines.push_back(line_no);
     } else if (key == "expensive-type") {
       cfg->expensive_types.push_back(value);
     } else if (key == "allow-copy-type") {
@@ -1929,10 +1932,12 @@ bool load_config(const std::string& path, Config* cfg, std::string* error) {
 std::vector<Finding> analyze_source(const std::string& path, std::string_view source,
                                     const Config& cfg,
                                     std::vector<char>* allow_file_used,
-                                    std::vector<char>* allow_unordered_used) {
+                                    std::vector<char>* allow_unordered_used,
+                                    std::vector<char>* hot_function_used) {
   Analyzer analyzer(path, lex(source), cfg);
   analyzer.allow_file_used = allow_file_used;
   analyzer.allow_unordered_used = allow_unordered_used;
+  analyzer.hot_function_used = hot_function_used;
   return analyzer.run();
 }
 

@@ -148,6 +148,9 @@ struct Config {
   /// Qualified entries only match definitions spelled `Class::name`; bare
   /// entries match any definition with that name.
   std::vector<std::string> hot_functions;
+  /// Config-file line of each hot_functions entry (0 when set in code), for
+  /// reporting entries that match no definition.
+  std::vector<int> hot_function_lines;
   /// Extra by-value-expensive types for hot-arg-copy, beyond the built-in
   /// std:: containers (e.g. a big POD config struct).
   std::vector<std::string> expensive_types;
@@ -198,11 +201,14 @@ struct Finding {
 /// If `allow_file_used` is non-null it must have cfg.allow_files.size()
 /// entries; each entry that suppressed at least one finding is set to 1 so
 /// the caller can report dead allow-file policy across the whole walk.
-/// `allow_unordered_used` works the same way for cfg.allow_unordered.
+/// `allow_unordered_used` works the same way for cfg.allow_unordered, and
+/// `hot_function_used` for cfg.hot_functions (set when the entry names a
+/// function defined in this file).
 std::vector<Finding> analyze_source(const std::string& path, std::string_view source,
                                     const Config& cfg,
                                     std::vector<char>* allow_file_used = nullptr,
-                                    std::vector<char>* allow_unordered_used = nullptr);
+                                    std::vector<char>* allow_unordered_used = nullptr,
+                                    std::vector<char>* hot_function_used = nullptr);
 
 /// All check names, for --list-checks and suppression validation.
 const std::vector<std::string>& check_names();

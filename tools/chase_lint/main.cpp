@@ -250,6 +250,7 @@ int main(int argc, char** argv) {
   std::vector<Finding> findings;
   std::vector<char> allow_file_used(cfg.allow_files.size(), 0);
   std::vector<char> allow_unordered_used(cfg.allow_unordered.size(), 0);
+  std::vector<char> hot_function_used(cfg.hot_functions.size(), 0);
   int baselined = 0;
   for (const std::string& file : files) {
     std::ifstream in(file, std::ios::binary);
@@ -262,7 +263,8 @@ int main(int argc, char** argv) {
     const std::string source = buf.str();
     for (Finding& f : chase::lint::analyze_source(file, source, cfg,
                                                   &allow_file_used,
-                                                  &allow_unordered_used)) {
+                                                  &allow_unordered_used,
+                                                  &hot_function_used)) {
       const auto fp = chase::lint::fingerprint(f);
       auto it = baseline.find(fp);
       if (it != baseline.end() && it->second > 0) {
@@ -293,6 +295,17 @@ int main(int argc, char** argv) {
         "allow-unordered entry '" + au.name +
             "' exempted no loop in this walk; delete it so dead policy "
             "cannot mask future regressions"});
+  }
+  // A hot-function entry whose function was renamed or deleted silently
+  // stops scoping anything; report it so the hot set tracks the code.
+  for (std::size_t i = 0; i < cfg.hot_functions.size(); ++i) {
+    if (hot_function_used[i] != 0) continue;
+    const int line = i < cfg.hot_function_lines.size() ? cfg.hot_function_lines[i] : 0;
+    findings.push_back(Finding{
+        "lint-suppression", config_path, line, "",
+        "hot-function entry '" + cfg.hot_functions[i] +
+            "' matched no definition in this walk; delete or rename it so "
+            "dead policy cannot hide an unchecked hot path"});
   }
 
   // --checks filters what is *reported* (and therefore the exit code);
