@@ -1101,7 +1101,7 @@ std::optional<cluster::MachineId> KubeCluster::pick_node(const Pod& pod) {
     return info.machine;
   }
   std::optional<cluster::MachineId> best;
-  double best_score = -1.0;
+  double best_score = 0.0;  // read only once `best` is set
   gather_candidates(pod, requests, /*by_capacity=*/false);
   // Sampled scoring (Kubernetes' percentageOfNodesToScore, determinized):
   // above the threshold, score at most score_sample_max FEASIBLE candidates
@@ -1133,7 +1133,7 @@ std::optional<cluster::MachineId> KubeCluster::pick_node(const Pod& pod) {
             : 0.0;
     double score = cpu_free + gpu_free;
     if (options_.policy == SchedulingPolicy::BinPack) score = -score;
-    if (score > best_score) {
+    if (!best || score > best_score) {
       best_score = score;
       best = info.machine;
     }

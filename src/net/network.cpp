@@ -1,4 +1,3 @@
-#include <cstdio>
 #include "net/network.hpp"
 
 #include <algorithm>
@@ -8,38 +7,6 @@
 #include "util/check.hpp"
 
 namespace chase::net {
-
-#ifdef CHASE_NET_STATS
-#include <x86intrin.h>
-namespace {
-struct NetStats {
-  unsigned long long rc = 0, fills = 0, flows = 0, links = 0, twins = 0,
-      rounds = 0, scans = 0, collect_cy = 0, build_cy = 0, round_cy = 0,
-      apply_cy = 0, total_cy = 0;
-  ~NetStats() {
-    if (!rc) return;
-    auto f = [&](const char* n, unsigned long long cy) {
-      std::fprintf(stderr, "  %-10s %8.2f Mcy  %6.0f cy/rc\n", n, cy / 1e6,
-                   (double)cy / rc);
-    };
-    std::fprintf(stderr,
-                 "net-stats: rc=%llu fills=%llu (%.2f/rc) flows/fill=%.1f "
-                 "links/fill=%.1f twins/fill=%.1f rounds/fill=%.1f scans/fill=%.1f\n",
-                 rc, fills, (double)fills / rc, (double)flows / fills,
-                 (double)links / fills, (double)twins / fills,
-                 (double)rounds / fills, (double)scans / fills);
-    f("collect", collect_cy); f("build", build_cy); f("rounds", round_cy);
-    f("apply", apply_cy); f("total", total_cy);
-  }
-};
-NetStats g_netstats;
-}  // namespace
-#define NETSTAT(field, amt) (g_netstats.field += (amt))
-#define NETSTAT_TSC() __rdtsc()
-#else
-#define NETSTAT(field, amt) ((void)0)
-#define NETSTAT_TSC() 0ULL
-#endif
 
 namespace {
 constexpr double kByteEpsilon = 0.5;  // flows within half a byte are done
@@ -59,10 +26,8 @@ Network::Network(sim::Simulation& sim) : sim_(sim) {
   slot_epoch_.reserve(64);
   free_slots_.reserve(64);
   fl_ptr_.reserve(64);
-  fl_cap_.reserve(64);
   fl_old_.reserve(64);
   fl_new_.reserve(64);
-  fl_id_.reserve(64);
   fl_edge_end_.reserve(64);
   fl_frozen_.reserve(64);
   edges_.reserve(128);
@@ -382,14 +347,12 @@ void Network::settle_flow(Flow& flow, double now) {
 
 void Network::soa_clear() {
   fl_ptr_.clear();
-  fl_cap_.clear();
   fl_old_.clear();
-  fl_id_.clear();
   fl_edge_end_.clear();
   edges_.clear();
   cap_list_.clear();
   cap_runs_.clear();
-  cap_min_ = kInf;
+  real_cap_min_ = kInf;
   n_real_caps_ = 0;
   twin_count_ = 0;
   squeezed_.clear();
@@ -402,12 +365,10 @@ void Network::soa_add_full(Flow* f) {
     ce.fid = f->id;
     ce.idx = static_cast<std::uint32_t>(fl_ptr_.size());
     cap_list_.push_back(ce);
-    cap_min_ = std::min(cap_min_, f->rate_cap);
+    real_cap_min_ = std::min(real_cap_min_, f->rate_cap);
   }
   fl_ptr_.push_back(f);
-  fl_cap_.push_back(f->rate_cap);
   fl_old_.push_back(f->rate);
-  fl_id_.push_back(f->id);
   for (LinkId l : f->path) {
     edges_.push_back(l);
     std::uint64_t& epoch = link_epoch_[l];
@@ -446,11 +407,6 @@ void Network::fill_component() {
   // bitwise, so discovery order — incremental seed vs. full sweep — cannot
   // affect a single bit of the computed rates (DESIGN.md "Incremental
   // max-min rate updates").
-  NETSTAT(fills, 1);
-  NETSTAT(flows, fl_ptr_.size());
-  NETSTAT(links, comp_links_.size());
-  NETSTAT(twins, twin_count_);
-  [[maybe_unused]] const unsigned long long t0_ = NETSTAT_TSC();
   const std::uint32_t n = static_cast<std::uint32_t>(fl_ptr_.size());
   {
     std::uint32_t off = 0;
@@ -491,29 +447,22 @@ void Network::fill_component() {
       levels_[j] = lf.residual / lf.count;
     }
   }
-  // Caps were gathered at collection time with a running minimum; ascending
-  // (cap, flow id) order is materialized lazily below. A pass with no real
-  // (finite rate_cap) entries carries only per-boundary-link twin runs,
-  // which touch pairwise-disjoint links — firing them run by run subtracts
-  // in the same per-link ascending order as the globally sorted list, bit
-  // for bit, without ever sorting the whole list (DESIGN.md "Incremental
-  // max-min rate updates"). A real cap can interleave with twins on a
-  // shared link, so such passes use the monolithic global sort; the
-  // full-recompute reference is always monolithic.
-  double cap_min = cap_min_;
-  const bool monolithic = n_real_caps_ > 0;
-  bool caps_sorted = false;
-  std::size_t cap_at = 0;
+  // Cap order: real caps (the cap_list_ prefix [0, n_real_caps_)) and each
+  // boundary link's twin run are sorted ascending (cap, flow id) lazily, on
+  // first firing; most passes never fire a cap and never sort.
   const auto cap_less = [](const CapEnt& a, const CapEnt& b) {
     if (a.cap != b.cap) return a.cap < b.cap;
     return a.fid < b.fid;
   };
+  CapRun reals;
+  reals.end = n_real_caps_;
+  reals.min = real_cap_min_;
+  double cap_min = real_cap_min_;
+  for (const CapRun& r : cap_runs_) cap_min = std::min(cap_min, r.min);
 
   fl_new_.resize(n);
   fl_frozen_.assign(n, 0);
   dirty_.clear();
-  NETSTAT(build_cy, NETSTAT_TSC() - t0_);
-  [[maybe_unused]] const unsigned long long t1_ = NETSTAT_TSC();
   std::uint32_t unfrozen = n + twin_count_;
   // Deferred level refresh with dedup: a dirtied slot's level is parked at
   // the -1.0 sentinel (real levels are >= 0) so each link is divided at
@@ -524,15 +473,6 @@ void Network::fill_component() {
       lv = -1.0;
       dirty_.push_back(l);
     }
-  };
-  // An implicit twin's freeze is one residual subtraction on its run's
-  // link; the run cursor doubles as its frozen flag.
-  const auto freeze_twin = [&](LinkId b, double rate) {
-    LinkFill& lf = link_fill_[b];
-    lf.residual = std::max(0.0, lf.residual - rate);
-    --lf.count;
-    mark_dirty(lf, b);
-    --unfrozen;
   };
   const auto freeze = [&](std::uint32_t i, double rate) {
     fl_new_[i] = rate;
@@ -548,6 +488,70 @@ void Network::fill_component() {
     }
   };
 
+  const auto sort_run = [&](CapRun& r) {
+    if (!r.sorted) {
+      std::sort(cap_list_.begin() + r.begin, cap_list_.begin() + r.end, cap_less);
+      r.sorted = true;
+    }
+  };
+  // Fires a twin run's unfired entries ordered before `key`, ascending, and
+  // returns how many fired. A twin's freeze is one residual subtraction on
+  // its run's link; the run cursor doubles as its frozen flag.
+  const auto fire_run_before = [&](CapRun& r, const CapEnt& key) {
+    sort_run(r);
+    LinkFill& lf = link_fill_[r.link];
+    const std::uint32_t at0 = r.at;
+    for (; r.at < r.end && cap_less(cap_list_[r.at], key); ++r.at) {
+      lf.residual = std::max(0.0, lf.residual - cap_list_[r.at].cap);
+    }
+    const std::uint32_t k = r.at - at0;
+    if (k > 0) {
+      lf.count -= static_cast<std::int32_t>(k);
+      mark_dirty(lf, r.link);
+    }
+    r.min = r.at < r.end ? cap_list_[r.at].cap : kInf;
+    return k;
+  };
+  // Fires every unfrozen cap below `limit`, real and twin, so that each link
+  // sees its subtractions in ascending (cap, flow id) order: before a real
+  // cap freezes, the twins ordered ahead of it on each of its boundary links
+  // fire; the rest fire run by run afterwards. Subtractions on distinct
+  // links commute, so the result is that of one globally sorted cap list,
+  // bit for bit (DESIGN.md "Order algebra"). Returns whether anything froze.
+  const auto fire_caps = [&](double limit) {
+    CapEnt below;  // (cap, fid) < (limit, 0)  <=>  cap < limit
+    below.cap = limit;
+    bool fired = false;
+    if (reals.min < limit) {
+      sort_run(reals);
+      for (; reals.at < reals.end && cap_list_[reals.at].cap < limit; ++reals.at) {
+        const CapEnt ce = cap_list_[reals.at];
+        if (fl_frozen_[ce.idx]) continue;
+        // Most capped passes carry no twin run: skip the path walk then.
+        if (!cap_runs_.empty()) {
+          const std::uint32_t e0 = ce.idx == 0 ? 0 : fl_edge_end_[ce.idx - 1];
+          for (std::uint32_t e = e0; e < fl_edge_end_[ce.idx]; ++e) {
+            const std::uint32_t run = link_fill_[edges_[e]].run;
+            if (run != kNoRun) unfrozen -= fire_run_before(cap_runs_[run], ce);
+          }
+        }
+        freeze(ce.idx, ce.cap);
+        fired = true;
+      }
+      reals.min = reals.at < reals.end ? cap_list_[reals.at].cap : kInf;
+    }
+    cap_min = reals.min;
+    for (CapRun& r : cap_runs_) {
+      if (r.min < limit) {
+        const std::uint32_t k = fire_run_before(r, below);
+        unfrozen -= k;
+        fired = fired || k > 0;
+      }
+      cap_min = std::min(cap_min, r.min);
+    }
+    return fired;
+  };
+
   // Slots past `live` hold spent links (no unfrozen members left); they can
   // never constrain again, so the per-round min-scan covers only the live
   // prefix, which shrinks as the fill progresses.
@@ -557,7 +561,6 @@ void Network::fill_component() {
   bool need_scan = true;
   while (unfrozen > 0) {
     if (need_scan) {
-      NETSTAT(rounds, 1);
       for (LinkId l : dirty_) {
         LinkFill& lf = link_fill_[l];
         levels_[lf.mcur] = lf.count > 0 ? lf.residual / lf.count : kInf;
@@ -585,7 +588,6 @@ void Network::fill_component() {
       // as a lazy heap of superseded levels would.
       share = kInf;
       bottleneck = -1;
-      NETSTAT(scans, live);
       for (std::uint32_t j = 0; j < live; ++j) {
         const double lv = levels_[j];
         if (lv > share) continue;
@@ -597,75 +599,14 @@ void Network::fill_component() {
       }
     }
     need_scan = true;
-    if (bottleneck < 0) {
-      // No constraining link left: every remaining flow must be capped
-      // (defensive — an unfrozen flow keeps a valid entry on each of its
-      // links, so this is unreachable unless all remaining caps bind).
-      if (monolithic) {
-        if (!caps_sorted) {
-          std::sort(cap_list_.begin(), cap_list_.end(), cap_less);
-          caps_sorted = true;
-        }
-        for (; cap_at < cap_list_.size(); ++cap_at) {
-          const std::uint32_t i = cap_list_[cap_at].idx;
-          if (!fl_frozen_[i]) freeze(i, fl_cap_[i]);
-        }
-      } else {
-        for (CapRun& r : cap_runs_) {
-          if (!r.sorted) {
-            std::sort(cap_list_.begin() + r.begin, cap_list_.begin() + r.end,
-                      cap_less);
-            r.sorted = true;
-          }
-          for (; r.at < r.end; ++r.at) freeze_twin(r.link, cap_list_[r.at].cap);
-        }
-      }
-      break;
-    }
-    // Caps strictly below the bottleneck share freeze first — ascending
-    // (cap, flow id) within each link — raising the water levels; then
-    // re-derive the share.
-    bool fired = false;
-    if (cap_min < share) {
-      if (monolithic) {
-        if (!caps_sorted) {
-          std::sort(cap_list_.begin(), cap_list_.end(), cap_less);
-          caps_sorted = true;
-        }
-        while (cap_at < cap_list_.size()) {
-          const CapEnt& ce = cap_list_[cap_at];
-          if (ce.cap >= share) break;
-          const std::uint32_t i = ce.idx;
-          ++cap_at;
-          if (!fl_frozen_[i]) {
-            freeze(i, fl_cap_[i]);
-            fired = true;
-          }
-        }
-        cap_min = cap_at < cap_list_.size() ? cap_list_[cap_at].cap : kInf;
-      } else {
-        double new_min = kInf;
-        for (CapRun& r : cap_runs_) {
-          if (r.min < share) {
-            // Sort each run only when it first fires; runs whose twins all
-            // sit above the final water level are never sorted at all.
-            if (!r.sorted) {
-              std::sort(cap_list_.begin() + r.begin,
-                        cap_list_.begin() + r.end, cap_less);
-              r.sorted = true;
-            }
-            while (r.at < r.end && cap_list_[r.at].cap < share) {
-              freeze_twin(r.link, cap_list_[r.at].cap);
-              ++r.at;
-              fired = true;
-            }
-            r.min = r.at < r.end ? cap_list_[r.at].cap : kInf;
-          }
-          new_min = std::min(new_min, r.min);
-        }
-        cap_min = new_min;
-      }
-    }
+    // Caps strictly below the bottleneck share freeze first, raising the
+    // water levels; then re-derive the share. With no constraining link
+    // left (share +inf) every remaining flow must be capped, so every cap
+    // fires and the fill ends (defensive — an unfrozen flow keeps a valid
+    // entry on each of its links, so this is unreachable unless all
+    // remaining caps bind).
+    const bool fired = cap_min < share && fire_caps(share);
+    if (bottleneck < 0) break;
     if (fired) {
       // Cap freezes only raise the fired links' levels (a cap below the
       // share is below its link's level, so removing it lifts the level);
@@ -711,11 +652,9 @@ void Network::fill_component() {
       }
     }
   }
-  NETSTAT(round_cy, NETSTAT_TSC() - t1_);
 }
 
 void Network::apply_component() {
-  [[maybe_unused]] const unsigned long long t0_ = NETSTAT_TSC();
   const double now = sim_.now();
   const std::uint32_t n = static_cast<std::uint32_t>(fl_ptr_.size());
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -737,7 +676,6 @@ void Network::apply_component() {
                       : (rate > 0.0 ? now + f->remaining / rate : kInf);
     eta_update(f);
   }
-  NETSTAT(apply_cy, NETSTAT_TSC() - t0_);
 }
 
 void Network::recompute_scope() {
@@ -753,8 +691,6 @@ void Network::recompute_scope() {
   }
   seed_links_.clear();
   if (scope_links_.empty()) return;
-  NETSTAT(rc, 1);
-  [[maybe_unused]] const unsigned long long trc_ = NETSTAT_TSC();
   // Fixpoint expansion: fill over S plus its boundary ring, then grow S
   // along the paths of flows whose computed rate changed bitwise, and
   // refill. Every flow on an S link participates fully; each out-of-scope
@@ -769,105 +705,70 @@ void Network::recompute_scope() {
   // degenerates to the full fill.
   while (true) {
     ++scope_epoch_;
-    [[maybe_unused]] const unsigned long long tc_ = NETSTAT_TSC();
     soa_clear();
     comp_links_.clear();
-    {
-      for (LinkId l : scope_links_) {
-        link_epoch_[l] = scope_epoch_;
-        comp_links_.push_back(l);
-      }
-      // Full participants: every flow crossing an S link. soa_add_full
-      // appends their out-of-S path links to comp_links_ — that tail is
-      // exactly the boundary ring.
-      for (LinkId l : scope_links_) {
-        const auto& reg = links_[l].flows;
-        const std::size_t rn = reg.size();
-        for (std::size_t k = 0; k < rn; ++k) {
-          const DirectedLink::RegEntry& e = reg[k];
-          std::uint64_t& stamp = slot_epoch_[e.slot];
-          if (stamp == scope_epoch_) continue;
-          stamp = scope_epoch_;
-          __builtin_prefetch(&e.flow->path);
-          soa_add_full(e.flow);
-        }
-      }
-      // Boundary (virtual) participants, straight off the registry mirrors:
-      // capped at their current rate, one entry per boundary link crossed.
-      // A flow crossing two boundary links gets two single-edge twins; both
-      // freeze at the same cap on disjoint links, so the subtractions
-      // commute bitwise with the single two-edge formulation (a twin only
-      // freezes below its cap when its link would squeeze it, and that
-      // marks the flow changed, which forces another expansion iteration —
-      // so twins never disagree in the iteration whose rates are applied).
-      // In-scope members of a boundary registry already joined as full
-      // participants above and carry this iteration's visit stamp, which
-      // skips them here.
-      n_real_caps_ = static_cast<std::uint32_t>(cap_list_.size());
-      if (n_real_caps_ > 0) {
-        // Real caps present: this pass sorts one monolithic cap list, so
-        // twins need fl_* slots like everyone else.
-        for (std::size_t bi = scope_links_.size(); bi < comp_links_.size();
-             ++bi) {
-          const LinkId b = comp_links_[bi];
-          const auto& breg = links_[b].flows;
-          const std::size_t bn = breg.size();
-          for (std::size_t k = 0; k < bn; ++k) {
-            const DirectedLink::RegEntry& e = breg[k];
-            if (slot_epoch_[e.slot] == scope_epoch_) continue;
-            CapEnt ce;
-            ce.cap = e.rate;
-            ce.fid = e.id;
-            ce.idx = static_cast<std::uint32_t>(fl_ptr_.size());
-            cap_list_.push_back(ce);
-            if (e.rate < cap_min_) cap_min_ = e.rate;
-            fl_ptr_.push_back(e.flow);
-            fl_cap_.push_back(e.rate);  // its bottleneck lies outside S
-            fl_old_.push_back(e.rate);
-            fl_id_.push_back(e.id);
-            edges_.push_back(b);
-            fl_edge_end_.push_back(static_cast<std::uint32_t>(edges_.size()));
-          }
-        }
-      } else {
-        // No real caps: twins stay implicit — one cap-run entry each,
-        // no fl_* slot, no edge. Their link's fill count still includes
-        // them (it is the registry size), and a freeze is a single
-        // residual subtraction handled through the run.
-        for (std::size_t bi = scope_links_.size(); bi < comp_links_.size();
-             ++bi) {
-          const LinkId b = comp_links_[bi];
-          const auto& breg = links_[b].flows;
-          const std::size_t bn = breg.size();
-          const std::uint32_t run_begin =
-              static_cast<std::uint32_t>(cap_list_.size());
-          double run_min = kInf;
-          for (std::size_t k = 0; k < bn; ++k) {
-            const DirectedLink::RegEntry& e = breg[k];
-            if (slot_epoch_[e.slot] == scope_epoch_) continue;
-            CapEnt ce;
-            ce.cap = e.rate;
-            ce.fid = e.id;
-            ce.flow = e.flow;
-            cap_list_.push_back(ce);
-            if (e.rate < run_min) run_min = e.rate;
-          }
-          const std::uint32_t run_end =
-              static_cast<std::uint32_t>(cap_list_.size());
-          if (run_end > run_begin) {
-            CapRun r;
-            r.begin = r.at = run_begin;
-            r.end = run_end;
-            r.link = b;
-            r.min = run_min;
-            cap_runs_.push_back(r);
-            twin_count_ += run_end - run_begin;
-            if (run_min < cap_min_) cap_min_ = run_min;
-          }
-        }
+    for (LinkId l : scope_links_) {
+      link_epoch_[l] = scope_epoch_;
+      comp_links_.push_back(l);
+    }
+    // Full participants: every flow crossing an S link. soa_add_full
+    // appends their out-of-S path links to comp_links_ — that tail is
+    // exactly the boundary ring.
+    for (LinkId l : scope_links_) {
+      const auto& reg = links_[l].flows;
+      const std::size_t rn = reg.size();
+      for (std::size_t k = 0; k < rn; ++k) {
+        const DirectedLink::RegEntry& e = reg[k];
+        std::uint64_t& stamp = slot_epoch_[e.slot];
+        if (stamp == scope_epoch_) continue;
+        stamp = scope_epoch_;
+        __builtin_prefetch(&e.flow->path);
+        soa_add_full(e.flow);
       }
     }
-    NETSTAT(collect_cy, NETSTAT_TSC() - tc_);
+    // Boundary (virtual) participants, straight off the registry mirrors:
+    // capped at their current rate, one entry per boundary link crossed.
+    // A flow crossing two boundary links gets two single-edge twins; both
+    // freeze at the same cap on disjoint links, so the subtractions
+    // commute bitwise with the single two-edge formulation (a twin only
+    // freezes below its cap when its link would squeeze it, and that
+    // marks the flow changed, which forces another expansion iteration —
+    // so twins never disagree in the iteration whose rates are applied).
+    // In-scope members of a boundary registry already joined as full
+    // participants above and carry this iteration's visit stamp, which
+    // skips them here.
+    // Twins hold no fl_* slot and no edge: each is one entry in its
+    // boundary link's cap run. The link's fill count still includes them
+    // (it is the registry size), and a freeze is a single residual
+    // subtraction handled through the run.
+    n_real_caps_ = static_cast<std::uint32_t>(cap_list_.size());
+    for (std::size_t bi = scope_links_.size(); bi < comp_links_.size(); ++bi) {
+      const LinkId b = comp_links_[bi];
+      const auto& breg = links_[b].flows;
+      const std::size_t bn = breg.size();
+      const std::uint32_t run_begin = static_cast<std::uint32_t>(cap_list_.size());
+      double run_min = kInf;
+      for (std::size_t k = 0; k < bn; ++k) {
+        const DirectedLink::RegEntry& e = breg[k];
+        if (slot_epoch_[e.slot] == scope_epoch_) continue;
+        CapEnt ce;
+        ce.cap = e.rate;
+        ce.fid = e.id;
+        ce.flow = e.flow;
+        cap_list_.push_back(ce);
+        if (e.rate < run_min) run_min = e.rate;
+      }
+      const std::uint32_t run_end = static_cast<std::uint32_t>(cap_list_.size());
+      if (run_end > run_begin) {
+        CapRun r;
+        r.begin = r.at = run_begin;
+        r.end = run_end;
+        r.link = b;
+        r.min = run_min;
+        cap_runs_.push_back(r);
+        twin_count_ += run_end - run_begin;
+      }
+    }
     fill_component();
     bool grew = false;
     const std::uint32_t n = static_cast<std::uint32_t>(fl_ptr_.size());
@@ -895,7 +796,6 @@ void Network::recompute_scope() {
     if (!grew) break;
   }
   apply_component();
-  NETSTAT(total_cy, NETSTAT_TSC() - trc_);
 }
 
 bool Network::rates_match_full_recompute() {

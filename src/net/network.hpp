@@ -233,7 +233,7 @@ class Network {
   void soa_clear();
   /// BFS the full link↔flow incidence from `seed` into comp_links_ and the
   /// fl_* arrays, stamping visit epochs; collects exactly one connected
-  /// component (the audit reference path).
+  /// component with no twins (the audit reference path).
   void collect_component(LinkId seed);
   /// Progressive filling (max-min with per-flow caps) over the collected
   /// links and fl_* arrays; writes fl_new_, does not touch live state.
@@ -351,19 +351,17 @@ class Network {
   // Per-pass flow scratch, struct-of-arrays: collection reads each scattered
   // Flow object once, then the fill runs entirely over these dense arrays.
   std::vector<Flow*> fl_ptr_;
-  std::vector<double> fl_cap_;  // effective cap (rate_cap, or rate if virtual)
   std::vector<double> fl_old_;  // live rate at collection time
   std::vector<double> fl_new_;  // fill result
-  std::vector<std::uint64_t> fl_id_;
   std::vector<std::uint32_t> fl_edge_end_;  // exclusive end into edges_
   std::vector<LinkId> edges_;               // flattened in-fill path links
   std::vector<std::uint8_t> fl_frozen_;
-  /// Finite rate caps, gathered at collection time with a running minimum;
-  /// fill_component() materializes the ascending (cap, flow id) order only
-  /// on the first round whose share clears the minimum — most passes never
-  /// fire a cap batch and skip the sort entirely. Real (finite rate_cap)
-  /// entries carry their fl_* slot; implicit twin entries carry the Flow
-  /// pointer instead, touched only on the rare squeeze path.
+  /// Every cap of the pass. The prefix [0, n_real_caps_) holds the full
+  /// participants' finite rate caps, each carrying its fl_* slot; the rest
+  /// are boundary twins, grouped into one CapRun per boundary link and
+  /// carrying the Flow pointer instead, touched only on the rare squeeze
+  /// path. fill_component() sorts the real prefix and each run ascending
+  /// (cap, flow id) only when it first fires.
   struct CapEnt {
     double cap = 0.0;
     std::uint64_t fid = 0;
@@ -373,17 +371,13 @@ class Network {
     };
   };
   std::vector<CapEnt> cap_list_;
-  double cap_min_ = std::numeric_limits<double>::infinity();
-  /// One run of cap_list_ per boundary link: that link's lean twins, sorted
-  /// lazily on first firing. Runs touch pairwise-disjoint links, so firing
-  /// them run-by-run subtracts in the same per-link ascending order as the
-  /// globally sorted list — bit for bit — without the global sort. Twins
-  /// live only here (no fl_* slots): a freeze is one residual subtraction
-  /// on the run's link, and entries past `at` are exactly the unfrozen
-  /// ones. Passes that carry real (finite rate_cap) entries fall back to
-  /// the monolithic sorted list with twins as full participants, because a
-  /// real cap can interleave with twin caps on a shared link (the
-  /// full-recompute reference is always monolithic).
+  double real_cap_min_ = std::numeric_limits<double>::infinity();
+  /// One run of cap_list_ per boundary link: that link's twins. Twins live
+  /// only here (no fl_* slots): a freeze is one residual subtraction on the
+  /// run's link, and entries past `at` are exactly the unfrozen ones. Runs
+  /// touch pairwise-disjoint links, and fill_component() fires a run's
+  /// twins ahead of each real cap that shares the link, so every link sees
+  /// its caps in the order of one globally sorted list, bit for bit.
   struct CapRun {
     std::uint32_t begin = 0, end = 0, at = 0;
     LinkId link = -1;
@@ -391,8 +385,8 @@ class Network {
     bool sorted = false;
   };
   std::vector<CapRun> cap_runs_;
-  std::uint32_t n_real_caps_ = 0;  // cap_list_ prefix from full participants
-  std::uint32_t twin_count_ = 0;   // implicit twins in the current pass
+  std::uint32_t n_real_caps_ = 0;  // length of cap_list_'s real-cap prefix
+  std::uint32_t twin_count_ = 0;   // twins in the current pass
   std::vector<Flow*> squeezed_;    // twins frozen below their held rate
   std::vector<std::uint32_t> link_members_;    // flattened per-link flow idx
   std::vector<LinkId> seed_links_;     // pending recompute seeds

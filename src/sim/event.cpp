@@ -20,8 +20,7 @@ Task wait_all(Simulation& sim, std::vector<EventPtr> events) {
 }
 
 bool run_until(Simulation& sim, const EventPtr& ev) {
-  while (!ev->fired() && sim.step()) {
-  }
+  sim.run_until([&] { return ev->fired(); });
   return ev->fired();
 }
 

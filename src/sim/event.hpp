@@ -52,9 +52,10 @@ inline EventPtr make_event() {
 /// Wait until all events in the group have fired.
 Task wait_all(Simulation& sim, std::vector<EventPtr> events);
 
-/// Drive the simulation until `ev` fires (or the queue drains). Returns true
-/// if the event fired. Useful when long-lived services (e.g. a Redis
-/// ReplicaSet) keep the event queue non-empty forever.
+/// Drive the simulation until `ev` fires (or the queue drains), with
+/// Simulation::run()'s audit checkpoints. Returns true if the event fired.
+/// Useful when long-lived services (e.g. a Redis ReplicaSet) keep the event
+/// queue non-empty forever.
 bool run_until(Simulation& sim, const EventPtr& ev);
 
 /// Counting semaphore for limiting concurrency (e.g. parallel download

@@ -84,24 +84,7 @@ void Simulation::spawn(Task task) {
 }
 
 std::uint64_t Simulation::run(double until) {
-  // Checkpoint cadence: level 1 audits every `audit_interval_` events,
-  // level 2 (expensive audits enabled) 8x as often.
-  const int level = util::audit_level();
-  const std::uint64_t interval =
-      level >= 2 ? std::max<std::uint64_t>(1, audit_interval_ / 8) : audit_interval_;
-  std::uint64_t n = 0;
-  while (!queue_.empty() && queue_.front().time <= until) {
-    step();
-    ++n;
-    if (level >= 1 && !audit_hooks_.empty() && ++events_since_audit_ >= interval) {
-      events_since_audit_ = 0;
-      audit_now();
-    }
-  }
-  if (level >= 1 && !audit_hooks_.empty() && n > 0) {
-    events_since_audit_ = 0;
-    audit_now();  // final checkpoint: quiescent state is always audited
-  }
+  const std::uint64_t n = run_until([&] { return !(queue_.front().time <= until); });
   if (now_ < until && until < std::numeric_limits<double>::infinity()) {
     now_ = until;
   }

@@ -15,6 +15,7 @@
 /// dispatching an event touches the global heap. At audit level >= 2 with
 /// the alloc_stats hook linked, step() asserts this per event.
 
+#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 #include <limits>
@@ -22,6 +23,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "util/check.hpp"
 #include "util/small_fn.hpp"
 
 namespace chase::sim {
@@ -117,6 +119,11 @@ class Simulation {
   /// Run until the queue drains or `until` is reached (whichever first).
   /// Returns the number of events processed in this call.
   std::uint64_t run(double until = std::numeric_limits<double>::infinity());
+  /// Run until the queue drains or `stop()` holds, checked before each
+  /// event, with the same audit checkpoints as run(). Returns the number of
+  /// events processed in this call.
+  template <class Stop>
+  std::uint64_t run_until(Stop stop);
 
   /// Process a single event; returns false if the queue is empty.
   bool step();
@@ -127,9 +134,10 @@ class Simulation {
   // --- invariant-audit checkpoints ------------------------------------------
   //
   // Stateful subsystems (kube, ceph, redis, net, ...) register their
-  // check_invariants() here at construction; run() calls every hook after
-  // each `audit_interval()` processed events while the audit level is >= 1
-  // (see util/check.hpp). Hooks must be read-only over simulation state.
+  // check_invariants() here at construction; run() and run_until() call
+  // every hook after each `audit_interval()` processed events while the
+  // audit level is >= 1 (see util/check.hpp). Hooks must be read-only over
+  // simulation state.
 
   /// Register an audit hook; returns an id for remove_audit_hook().
   std::uint64_t add_audit_hook(util::SmallFn<void()> hook);
@@ -183,5 +191,28 @@ class Simulation {
   std::uint64_t events_since_audit_ = 0;
   util::SmallFn<void(double, std::uint64_t)> trace_hook_;
 };
+
+template <class Stop>
+std::uint64_t Simulation::run_until(Stop stop) {
+  // Checkpoint cadence: level 1 audits every `audit_interval_` events,
+  // level 2 (expensive audits enabled) 8x as often.
+  const int level = util::audit_level();
+  const std::uint64_t interval =
+      level >= 2 ? std::max<std::uint64_t>(1, audit_interval_ / 8) : audit_interval_;
+  std::uint64_t n = 0;
+  while (!queue_.empty() && !stop()) {
+    step();
+    ++n;
+    if (level >= 1 && !audit_hooks_.empty() && ++events_since_audit_ >= interval) {
+      events_since_audit_ = 0;
+      audit_now();
+    }
+  }
+  if (level >= 1 && !audit_hooks_.empty() && n > 0) {
+    events_since_audit_ = 0;
+    audit_now();  // final checkpoint
+  }
+  return n;
+}
 
 }  // namespace chase::sim

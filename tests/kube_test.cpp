@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 
 #include "kube/cluster.hpp"
 
@@ -180,6 +181,29 @@ TEST(Kube, SchedulerSpreadsAcrossNodes) {
   auto p2 = tb.kube->create_pod("default", "b", simple_pod(20.0, {8, cu::gb(8), 0})).value;
   tb.sim.run(10.0);
   EXPECT_NE(p1->node, p2->node);
+}
+
+// BinPack scores a node -(cpu_free + gpu_free), which is below -1 on an
+// idle FIONA8 for a small pod; the first feasible node must still win, and
+// later pods must fill it before the next one is opened.
+TEST(Kube, BinPackPlacesPodsOnIdleNodes) {
+  ck::KubeCluster::Options options;
+  options.policy = ck::KubeCluster::SchedulingPolicy::BinPack;
+  Testbed tb(4, options);
+  std::vector<ck::PodPtr> pods;
+  for (int i = 0; i < 8; ++i) {
+    pods.push_back(tb.kube
+                       ->create_pod("default", "b" + std::to_string(i),
+                                    simple_pod(100.0, {1, cu::gb(1), 2}))
+                       .value);
+  }
+  tb.sim.run(10.0);
+  std::set<int> used;
+  for (auto& p : pods) {
+    EXPECT_EQ(p->phase, ck::PodPhase::Running) << p->meta.name;
+    used.insert(p->node);
+  }
+  EXPECT_EQ(used.size(), 2u);  // 8 pods x 2 GPUs fill two 8-GPU nodes
 }
 
 TEST(Kube, JobRunsToCompletion) {

@@ -10,7 +10,8 @@
 ///
 ///   * bit-identical rates vs. a from-scratch progressive filling after
 ///     every mutation (rates_match_full_recompute), across >= 100 random
-///     topology/churn schedules including link flaps and degradations;
+///     topology/churn schedules including link flaps and degradations, run
+///     once uncapped and once with per-flow rate caps;
 ///   * exact byte conservation under lazy per-flow settlement;
 ///   * bit-identical event traces across replays, including chaos-style
 ///     link flap schedules (the determinism contract that bench_compare
@@ -97,51 +98,58 @@ struct RandomTopo {
 // bit-identical to a from-scratch progressive filling over all components.
 // 120 random seeds x ~30 mutations each — flow arrivals (the scoped
 // recompute's add path), drained completions (the remove path), link flaps
-// (fail + re-rate), and bandwidth degradation (re-rate in place).
+// (fail + re-rate), and bandwidth degradation (re-rate in place). The
+// capped run gives 40% of arrivals a rate cap below most link bandwidths,
+// so real caps and boundary twins fire together on shared links.
 TEST(NetScaling, RandomChurnMatchesFullRecompute) {
-  for (std::uint64_t seed = 0; seed < 120; ++seed) {
-    cu::Rng rng(0xABCD0000ULL + seed);
-    const int n = 3 + static_cast<int>(rng.uniform_u64(8));
-    RandomTopo w(rng, n);
+  for (const bool capped : {false, true}) {
+    SCOPED_TRACE(capped ? "capped" : "uncapped");
+    for (std::uint64_t seed = 0; seed < 120; ++seed) {
+      cu::Rng rng(0xABCD0000ULL + seed);
+      const int n = 3 + static_cast<int>(rng.uniform_u64(8));
+      RandomTopo w(rng, n);
 
-    std::vector<cn::TransferPtr> handles;
-    const int steps = 25 + static_cast<int>(rng.uniform_u64(15));
-    for (int step = 0; step < steps; ++step) {
-      const double roll = rng.uniform();
-      if (roll < 0.55) {
-        // Arrival: a fresh flow between random endpoints.
-        auto src = w.pick_node(rng);
-        auto dst = w.pick_node(rng);
-        if (src == dst) dst = w.nodes[(static_cast<std::size_t>(dst) + 1) % w.nodes.size()];
-        handles.push_back(w.net.transfer(
-            src, dst, static_cast<cu::Bytes>(rng.uniform(1e3, 5e4))));
-      } else if (roll < 0.75) {
-        // Completion churn: run the event loop a little so some flows
-        // finish and their removal re-runs the scoped recompute.
-        for (int k = 0; k < 8 && w.sim.step(); ++k) {
+      std::vector<cn::TransferPtr> handles;
+      const int steps = 25 + static_cast<int>(rng.uniform_u64(15));
+      for (int step = 0; step < steps; ++step) {
+        const double roll = rng.uniform();
+        if (roll < 0.55) {
+          // Arrival: a fresh flow between random endpoints.
+          auto src = w.pick_node(rng);
+          auto dst = w.pick_node(rng);
+          if (src == dst) dst = w.nodes[(static_cast<std::size_t>(dst) + 1) % w.nodes.size()];
+          const auto bytes = static_cast<cu::Bytes>(rng.uniform(1e3, 5e4));
+          cn::TransferOptions opts;
+          if (capped && rng.uniform() < 0.4) opts.rate_cap = rng.uniform(10.0, 300.0);
+          handles.push_back(w.net.transfer(src, dst, bytes, opts));
+        } else if (roll < 0.75) {
+          // Completion churn: run the event loop a little so some flows
+          // finish and their removal re-runs the scoped recompute.
+          for (int k = 0; k < 8 && w.sim.step(); ++k) {
+          }
+        } else if (roll < 0.9) {
+          // Chaos-style flap: both the fail path and the heal path re-rate.
+          const auto l = w.pick_link(rng);
+          w.net.set_link_up(l, false);
+          ASSERT_TRUE(w.net.rates_match_full_recompute())
+              << "seed " << seed << " step " << step << " (link down)";
+          w.net.set_link_up(l, true);
+        } else {
+          // Degradation: shrink or restore capacity under live flows.
+          w.net.set_link_bandwidth_factor(w.pick_link(rng), rng.uniform(0.1, 1.0));
         }
-      } else if (roll < 0.9) {
-        // Chaos-style flap: both the fail path and the heal path re-rate.
-        const auto l = w.pick_link(rng);
-        w.net.set_link_up(l, false);
         ASSERT_TRUE(w.net.rates_match_full_recompute())
-            << "seed " << seed << " step " << step << " (link down)";
-        w.net.set_link_up(l, true);
-      } else {
-        // Degradation: shrink or restore capacity under live flows.
-        w.net.set_link_bandwidth_factor(w.pick_link(rng), rng.uniform(0.1, 1.0));
+            << "seed " << seed << " step " << step;
+        w.net.check_invariants();
       }
-      ASSERT_TRUE(w.net.rates_match_full_recompute())
-          << "seed " << seed << " step " << step;
+
+      // Drain: every completion exercises the removal path one more time.
+      while (w.sim.step()) {
+      }
+      ASSERT_TRUE(w.net.rates_match_full_recompute()) << "seed " << seed << " (drained)";
+      ASSERT_EQ(w.net.active_flows(), 0u) << "seed " << seed;
       w.net.check_invariants();
     }
-
-    // Drain: every completion exercises the removal path one more time.
-    while (w.sim.step()) {
-    }
-    ASSERT_TRUE(w.net.rates_match_full_recompute()) << "seed " << seed << " (drained)";
-    ASSERT_EQ(w.net.active_flows(), 0u) << "seed " << seed;
-    w.net.check_invariants();
   }
 }
 
