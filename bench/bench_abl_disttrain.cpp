@@ -15,7 +15,9 @@
 /// Results are committed as BENCH_disttrain.json; tools/bench_compare diffs
 /// a fresh run against the baseline (exact event counts — every rung is a
 /// seeded deterministic workload whose timing derives from config
-/// arithmetic, so counts are machine-independent).
+/// arithmetic, so counts are machine-independent). With --json each rung
+/// runs kJsonRepetitions times and reports the fastest wall time; every
+/// repetition must replay the same events, loss and bytes.
 ///
 ///   $ bench_abl_disttrain                  # human table, all rungs
 ///   $ bench_abl_disttrain --json --out f   # machine-readable baseline
@@ -26,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "fastest_of.hpp"
 #include "core/nautilus.hpp"
 #include "ml/disttrain.hpp"
 #include "sim/event.hpp"
@@ -142,6 +145,16 @@ void print_json(std::FILE* out, const std::vector<Result>& results, bool smoke) 
   std::fprintf(out, "  ]\n}\n");
 }
 
+/// Repetitions per rung with --json (see bench/fastest_of.hpp); the table
+/// shows no wall time, so it runs each rung once.
+constexpr int kJsonRepetitions = 5;
+
+/// Every repetition of a rung must replay identically.
+bool same_run(const Result& a, const Result& b) {
+  return a.events == b.events && a.sim_s == b.sim_s && a.final_loss == b.final_loss &&
+         a.comm_bytes == b.comm_bytes && a.dropped == b.dropped;
+}
+
 std::string fmt(double v, int prec) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", prec, v);
@@ -181,7 +194,13 @@ int main(int argc, char** argv) {
   // sweeps are measured elsewhere.
   chase::util::set_audit_level(0);
 
+  const int reps = json ? kJsonRepetitions : 1;
   std::vector<Result> results;
+  auto rung = [&](const std::string& name, const ml::DistTrainConfig& config, int sites,
+                  bool straggle) {
+    results.push_back(chase::bench::fastest_of(
+        reps, [&] { return run_rung(name, config, sites, straggle); }, same_run));
+  };
 
   // Strong scaling: total examples fixed, so each doubling of workers
   // halves the sequential step count but pays one more ring neighbor (ring)
@@ -197,7 +216,7 @@ int main(int argc, char** argv) {
       const std::string name =
           (ring ? std::string("ring_w") : std::string("ps_w")) +
           std::to_string(workers);
-      results.push_back(run_rung(name, config, /*sites=*/2, /*straggle=*/false));
+      rung(name, config, /*sites=*/2, /*straggle=*/false);
     }
   }
 
@@ -212,8 +231,7 @@ int main(int argc, char** argv) {
     config.steps = smoke ? 8 : 24;
     config.staleness = staleness;
     config.optimizer.learning_rate = 0.2f;
-    results.push_back(run_rung("stale" + std::to_string(staleness), config,
-                               /*sites=*/2, /*straggle=*/false));
+    rung("stale" + std::to_string(staleness), config, /*sites=*/2, /*straggle=*/false);
   }
 
   // Straggler mitigation: shard 0's machine throttled to 2% bandwidth with
@@ -228,8 +246,7 @@ int main(int argc, char** argv) {
     config.steps = smoke ? 4 : 10;
     config.flops_per_example = 1e12;
     config.sync_bytes = cu::mb(20);
-    results.push_back(run_rung("straggler_b" + std::to_string(backups), config,
-                               /*sites=*/3, /*straggle=*/true));
+    rung("straggler_b" + std::to_string(backups), config, /*sites=*/3, /*straggle=*/true);
   }
 
   if (json) {

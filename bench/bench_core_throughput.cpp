@@ -16,7 +16,8 @@
 /// Audits run at level 0 here on purpose: this bench measures the hot path
 /// itself; audit-sweep cost is a separate, deliberate knob (README
 /// "Performance lint & baselines"). The workload is fully seeded — the
-/// event count per size is deterministic, only wall time varies.
+/// event count per size is deterministic, only wall time varies; with
+/// --json each size runs kJsonRepetitions times and reports the fastest.
 
 #include <chrono>
 #include <cstdio>
@@ -25,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "fastest_of.hpp"
 #include "chaos/chaos.hpp"
 #include "cluster/machine.hpp"
 #include "kube/cluster.hpp"
@@ -294,6 +296,15 @@ void print_json(std::FILE* out, const std::vector<Result>& results, int scale_di
   std::fprintf(out, "  ]\n}\n");
 }
 
+/// Repetitions per size with --json (see bench/fastest_of.hpp). Sizes run
+/// 0.1-2 s each, longer than the disttrain rungs, so three suffice.
+constexpr int kJsonRepetitions = 3;
+
+/// Every repetition of a size must replay identically.
+bool same_run(const Result& a, const Result& b) {
+  return a.events == b.events && a.sim_s == b.sim_s;
+}
+
 std::string fmt(double v, int prec) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", prec, v);
@@ -334,11 +345,14 @@ int main(int argc, char** argv) {
 
   std::vector<Result> results;
   results.reserve(std::size(kSizes) + std::size(kFedSizes));
+  const int reps = json ? kJsonRepetitions : 1;
   for (const SizeSpec& spec : kSizes) {
-    results.push_back(run_size(spec, scale_div));
+    results.push_back(chase::bench::fastest_of(
+        reps, [&] { return run_size(spec, scale_div); }, same_run));
   }
   for (const FedSpec& spec : kFedSizes) {
-    results.push_back(run_federation(spec, scale_div));
+    results.push_back(chase::bench::fastest_of(
+        reps, [&] { return run_federation(spec, scale_div); }, same_run));
   }
 
   if (json) {

@@ -140,8 +140,9 @@ void Registry::start_sampler(sim::Simulation& sim, double period, sim::EventPtr 
 }
 
 void Registry::sample_now(double t) {
-  for (const auto& probe : probes_) {
-    series_[probe.key].append(t, probe.fn());
+  for (auto& probe : probes_) {
+    if (probe.series == nullptr) probe.series = &series_[probe.key];
+    probe.series->append(t, probe.fn());
   }
   for (auto& alert : alerts_) {
     const double value = sum_at(alert.rule.metric, alert.rule.selector, t);

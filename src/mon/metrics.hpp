@@ -122,8 +122,12 @@ class Registry {
   struct Probe {
     SeriesKey key;
     std::function<double()> fn;
+    /// The series `key` names, bound on the probe's first sample (so a
+    /// series still appears only once sampled); map nodes never move or
+    /// die, so the pointer stays valid and sampling skips the key lookup.
+    TimeSeries* series = nullptr;
   };
-  std::map<SeriesKey, TimeSeries> series_;
+  std::map<SeriesKey, TimeSeries> series_;  // never erased: probes point into it
   std::vector<Probe> probes_;
   std::vector<AlertState> alerts_;
 };

@@ -11,9 +11,10 @@
 namespace chase::sim {
 
 namespace {
-/// Initial event-heap capacity. The vector grows amortized past this; the
-/// point is that steady-state churn never reallocates (the capacity sticks
-/// at the high-water mark), which the zero-alloc audit in step() relies on.
+/// Initial capacity of the slab, free list, heap and lane. Each grows
+/// amortized past this; the point is that steady-state churn never
+/// reallocates (capacities stick at the high-water mark), which the
+/// zero-alloc audit in step() relies on.
 constexpr std::size_t kInitialQueueCapacity = 1024;
 }  // namespace
 
@@ -55,12 +56,18 @@ Task::~Task() {
   if (handle_) handle_.destroy();
 }
 
-Simulation::Simulation() { queue_.reserve(kInitialQueueCapacity); }
+Simulation::Simulation() {
+  slab_.reserve(kInitialQueueCapacity);
+  free_slots_.reserve(kInitialQueueCapacity);
+  heap_.reserve(kInitialQueueCapacity);
+  lane_.reserve(kInitialQueueCapacity);
+}
 
 Simulation::~Simulation() {
   // Drop pending callbacks first (they may reference coroutine frames), then
-  // destroy frames that never completed.
-  queue_.clear();
+  // destroy frames that never completed. Every queued callback, lane or
+  // heap, lives in the slab.
+  slab_.clear();
   for (void* frame : detached_) {
     std::coroutine_handle<>::from_address(frame).destroy();
   }
@@ -69,8 +76,38 @@ Simulation::~Simulation() {
 void Simulation::schedule(double delay, util::SmallFn<void()> fn) {
   assert(delay >= 0.0 && "cannot schedule into the past");
   if (delay < 0.0) delay = 0.0;
-  queue_.push_back(Entry{now_ + delay, seq_++, std::move(fn)});
-  std::push_heap(queue_.begin(), queue_.end(), std::greater<>{});
+  std::uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slab_[slot] = std::move(fn);
+  } else {
+    slot = static_cast<std::uint32_t>(slab_.size());
+    slab_.push_back(std::move(fn));
+    // step() returns every slot to the free list; keep room for all of them
+    // so dispatch never reallocates it.
+    if (free_slots_.capacity() < slab_.capacity()) free_slots_.reserve(slab_.capacity());
+  }
+  const double time = now_ + delay;
+  const Key key{std::bit_cast<std::uint64_t>(time), seq_++, slot};
+  if (time == now_) {
+    lane_push(key);  // same instant: the largest seq so far, so FIFO is sorted
+  } else {
+    heap_.push_back(key);
+    std::push_heap(heap_.begin(), heap_.end(), later);
+  }
+}
+
+void Simulation::lane_push(const Key& key) {
+  if (lane_.size() == lane_.capacity() && 2 * lane_head_ >= lane_.size()) {
+    // Full, and at least half of it dispatched keys (a same-instant chain
+    // that never lets the lane drain): reclaim them instead of growing.
+    // Each such move frees as many slots as it copies, so pushes stay O(1)
+    // amortized.
+    lane_.erase(lane_.begin(), lane_.begin() + static_cast<std::ptrdiff_t>(lane_head_));
+    lane_head_ = 0;
+  }
+  lane_.push_back(key);
 }
 
 void Simulation::spawn(Task task) {
@@ -84,7 +121,7 @@ void Simulation::spawn(Task task) {
 }
 
 std::uint64_t Simulation::run(double until) {
-  const std::uint64_t n = run_until([&] { return !(queue_.front().time <= until); });
+  const std::uint64_t n = run_until([&] { return !(next_key().time() <= until); });
   if (now_ < until && until < std::numeric_limits<double>::infinity()) {
     now_ = until;
   }
@@ -92,27 +129,41 @@ std::uint64_t Simulation::run(double until) {
 }
 
 bool Simulation::step() {
-  if (queue_.empty()) return false;
+  if (empty()) return false;
   // Zero-alloc witness: with the counting hook linked (tests) and expensive
-  // audits on, the dequeue machinery below — heap sift, SmallFn relocation,
-  // pop_back — must not reach the global heap. The callback body itself is
-  // covered by the steady-state loop test in tests/alloc_stats_test.cpp.
+  // audits on, the dequeue machinery below — lane pop or heap sift, the
+  // callback's move out of the slab, the free-list push — must not reach
+  // the global heap. The callback body itself is covered by the
+  // steady-state loop test in tests/alloc_stats_test.cpp.
   std::uint64_t news_before = 0;
   const bool audit_allocs =
       util::audit_level() >= 2 && util::alloc_stats::hooked();
   if (audit_allocs) news_before = util::alloc_stats::news();
-  std::pop_heap(queue_.begin(), queue_.end(), std::greater<>{});
-  Entry e = std::move(queue_.back());
-  queue_.pop_back();
+  Key key;
+  if (lane_first()) {
+    key = lane_[lane_head_++];
+    if (lane_head_ == lane_.size()) {
+      lane_.clear();
+      lane_head_ = 0;
+    }
+  } else {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    key = heap_.back();
+    heap_.pop_back();
+  }
+  // Move the callback out once: it may schedule, which can grow the slab.
+  util::SmallFn<void()> fn = std::move(slab_[key.slot]);
+  free_slots_.push_back(key.slot);
   if (audit_allocs) {
     CHASE_AUDIT(util::alloc_stats::news() == news_before,
                 "event dispatch machinery allocated on the global heap");
   }
-  CHASE_ASSERT(e.time + 1e-12 >= now_, "event time went backwards");
-  now_ = e.time;
+  const double time = key.time();
+  CHASE_ASSERT(time + 1e-12 >= now_, "event time went backwards");
+  now_ = time;
   ++events_processed_;
-  if (trace_hook_) trace_hook_(e.time, e.seq);
-  e.fn();
+  if (trace_hook_) trace_hook_(time, key.seq);
+  fn();
   return true;
 }
 
@@ -131,9 +182,18 @@ void Simulation::audit_now() const {
 
 void Simulation::check_invariants() const {
   CHASE_INVARIANT(now_ >= 0.0, "virtual clock is negative");
-  // The heap root is the minimum, so one comparison covers every queued entry.
-  CHASE_INVARIANT(queue_.empty() || queue_.front().time >= now_ - 1e-12,
+  // The heap root is the minimum, so one comparison covers every heap entry.
+  CHASE_INVARIANT(heap_.empty() || heap_.front().time() >= now_ - 1e-12,
                   "event heap holds work scheduled before now()");
+  std::uint64_t prev_seq = 0;
+  for (std::size_t i = lane_head_; i < lane_.size(); ++i) {
+    const Key& key = lane_[i];
+    CHASE_INVARIANT(key.time() == now_, "same-instant lane holds work not at now()");
+    CHASE_INVARIANT(i == lane_head_ || key.seq > prev_seq, "same-instant lane out of seq order");
+    prev_seq = key.seq;
+  }
+  CHASE_INVARIANT(slab_.size() == free_slots_.size() + heap_.size() + (lane_.size() - lane_head_),
+                  "callback slab slots leaked or double-queued");
 }
 
 }  // namespace chase::sim

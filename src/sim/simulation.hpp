@@ -8,14 +8,28 @@
 /// style in which all CHASE-CI workloads (download workers, trainers,
 /// controllers, OSD recovery, ...) are written.
 ///
-/// The event loop is allocation-free in the steady state: callbacks are
-/// util::SmallFn (48-byte inline buffer, BlockPool overflow — see
-/// util/small_fn.hpp) and the priority queue is an explicit binary heap
-/// over a reserved vector, so after warmup neither scheduling nor
-/// dispatching an event touches the global heap. At audit level >= 2 with
-/// the alloc_stats hook linked, step() asserts this per event.
+/// Queue layout. Callbacks (util::SmallFn, 48-byte inline buffer, BlockPool
+/// overflow — see util/small_fn.hpp) live in a slab with a free-slot list;
+/// the ordering structures hold only 24-byte keys (time, seq, slot), so a
+/// heap sift moves keys, never callables, and step() moves each callback
+/// out of its slot exactly once. Keys go to one of two places:
+///  * the same-instant lane, a FIFO queue, when the event's time equals
+///    now() (spawn, Event::trigger, zero-delay wakeups). Such an event has
+///    the largest seq so far, so appending keeps the lane in (time, seq)
+///    order and it never pays a heap sift;
+///  * an explicit binary min-heap otherwise.
+/// step() pops the smaller of the lane front and the heap top, which is the
+/// same strict total (time, seq) order a single heap gives — replay hashes
+/// do not depend on which structure held an event.
+///
+/// The event loop is allocation-free in the steady state: slab, free list,
+/// lane and heap are reserved vectors whose capacity sticks at the
+/// high-water mark, so after warmup neither scheduling nor dispatching an
+/// event touches the global heap. At audit level >= 2 with the alloc_stats
+/// hook linked, step() asserts this per event.
 
 #include <algorithm>
+#include <bit>
 #include <coroutine>
 #include <cstdint>
 #include <limits>
@@ -129,7 +143,7 @@ class Simulation {
   bool step();
 
   std::uint64_t events_processed() const { return events_processed_; }
-  bool empty() const { return queue_.empty(); }
+  bool empty() const { return lane_.empty() && heap_.empty(); }
 
   // --- invariant-audit checkpoints ------------------------------------------
   //
@@ -151,8 +165,9 @@ class Simulation {
   /// Run every registered audit hook immediately (also called by run()).
   void audit_now() const;
 
-  /// Kernel self-check: virtual time is non-negative and the event heap
-  /// never holds work scheduled before `now()`.
+  /// Kernel self-check: virtual time is non-negative, the heap never holds
+  /// work scheduled before `now()`, the lane holds only `now()` work in seq
+  /// order, and every occupied slab slot is queued exactly once.
   void check_invariants() const;
 
   /// Observe every processed event as (virtual time, sequence number) —
@@ -165,24 +180,41 @@ class Simulation {
   friend struct Task::promise_type;
   void unregister_detached(void* frame) { detached_.erase(frame); }
 
-  struct Entry {
-    double time;
+  /// One queued event: its (time, seq) order key and the slab slot holding
+  /// its callback. Event times are never negative, so the IEEE-754 bit
+  /// pattern of `time` orders like the value and (time, seq) compares as a
+  /// single unsigned 128-bit integer, without branches.
+  struct Key {
+    std::uint64_t time_bits;
     std::uint64_t seq;
-    util::SmallFn<void()> fn;
-    bool operator>(const Entry& o) const {
-      if (time != o.time) return time > o.time;
-      return seq > o.seq;
+    std::uint32_t slot;
+    double time() const { return std::bit_cast<double>(time_bits); }
+    unsigned __int128 order() const {
+      return (static_cast<unsigned __int128>(time_bits) << 64) | seq;
     }
   };
+  /// Heap comparator: std::*_heap with `later` keeps the earliest key on top.
+  static bool later(const Key& a, const Key& b) { return a.order() > b.order(); }
+
+  /// True when the lane front, not the heap top, is dispatched next.
+  bool lane_first() const {
+    return !lane_.empty() &&
+           (heap_.empty() || lane_[lane_head_].order() < heap_.front().order());
+  }
+  /// The next key to dispatch (queue must be non-empty).
+  const Key& next_key() const { return lane_first() ? lane_[lane_head_] : heap_.front(); }
+  void lane_push(const Key& key);
 
   double now_ = 0.0;
   std::uint64_t seq_ = 0;
   std::uint64_t events_processed_ = 0;
-  // Explicit min-heap (std::push_heap/pop_heap over a reserved vector).
-  // Identical pop order to std::priority_queue for the unique (time, seq)
-  // keys — determinism hashes are bit-for-bit unchanged — but the storage
-  // is inspectable, reservable, and move-only-friendly.
-  std::vector<Entry> queue_;
+  std::vector<util::SmallFn<void()>> slab_;  // callbacks, indexed by Key::slot
+  std::vector<std::uint32_t> free_slots_;   // capacity kept >= slab_'s
+  std::vector<Key> heap_;                   // binary min-heap under later()
+  // Same-instant lane: lane_[lane_head_, size) is queued; emptied (not
+  // freed) whenever it drains, which it does before the clock advances.
+  std::vector<Key> lane_;
+  std::size_t lane_head_ = 0;
   std::unordered_set<void*> detached_;
 
   std::map<std::uint64_t, util::SmallFn<void()>> audit_hooks_;  // ordered: determinism
@@ -200,7 +232,7 @@ std::uint64_t Simulation::run_until(Stop stop) {
   const std::uint64_t interval =
       level >= 2 ? std::max<std::uint64_t>(1, audit_interval_ / 8) : audit_interval_;
   std::uint64_t n = 0;
-  while (!queue_.empty() && !stop()) {
+  while (!empty() && !stop()) {
     step();
     ++n;
     if (level >= 1 && !audit_hooks_.empty() && ++events_since_audit_ >= interval) {

@@ -28,8 +28,10 @@ class SmallFn;  // primary left undefined: use SmallFn<R(Args...)>
 template <typename R, typename... Args>
 class SmallFn<R(Args...)> {
  public:
-  /// Inline capacity: three captured pointers plus a double-sized tail.
-  /// Entry = (time, seq, SmallFn) stays one cache line pair in the heap.
+  /// Inline capacity: three captured pointers plus a double-sized tail, so
+  /// a SmallFn is one 64-byte cache line. The event queue keeps these in a
+  /// slab and sifts only (time, seq, slot) keys, so the size costs a
+  /// relocation once per dispatched event, not once per heap level.
   static constexpr std::size_t kInline = 48;
   static_assert(kInline >= sizeof(void*),
                 "spilled callables store their pool pointer in the buffer");

@@ -109,3 +109,76 @@ TEST(Registry, KeyToString) {
   EXPECT_EQ(cm::key_to_string({"cpu", {}}), "cpu");
   EXPECT_EQ(cm::key_to_string({"cpu", {{"pod", "a"}}}), "cpu{pod=a}");
 }
+
+// Probes bind to their series on the first sample; these pin the semantics
+// that binding must keep from the keyed lookup it replaced.
+
+TEST(Registry, ProbeSeriesAbsentUntilFirstSample) {
+  cm::Registry reg;
+  reg.register_probe("late", {{"pod", "p"}}, [] { return 2.0; });
+  EXPECT_EQ(reg.find("late", {{"pod", "p"}}), nullptr);
+  EXPECT_TRUE(reg.select("late").empty());
+  reg.sample_now(3.0);
+  const auto* ts = reg.find("late", {{"pod", "p"}});
+  ASSERT_NE(ts, nullptr);
+  ASSERT_EQ(ts->samples().size(), 1u);
+  EXPECT_DOUBLE_EQ(ts->samples()[0].first, 3.0);
+  EXPECT_DOUBLE_EQ(ts->samples()[0].second, 2.0);
+}
+
+TEST(Registry, ReRegisteredProbeAppendsToTheSameSeries) {
+  cm::Registry reg;
+  const cm::Labels labels{{"pod", "w"}};
+  reg.register_probe("cpu", labels, [] { return 1.0; });
+  reg.sample_now(0);
+  const auto* first = reg.find("cpu", labels);
+  reg.unregister_probe("cpu", labels);
+  reg.sample_now(1);
+  reg.register_probe("cpu", labels, [] { return 5.0; });
+  reg.sample_now(2);
+  reg.sample_now(3);
+  const auto* ts = reg.find("cpu", labels);
+  EXPECT_EQ(ts, first);
+  ASSERT_EQ(ts->samples().size(), 3u);
+  EXPECT_EQ(ts->samples()[0], (std::pair<double, double>{0, 1}));
+  EXPECT_EQ(ts->samples()[1], (std::pair<double, double>{2, 5}));
+  EXPECT_EQ(ts->samples()[2], (std::pair<double, double>{3, 5}));
+  EXPECT_EQ(reg.select("cpu").size(), 1u);
+}
+
+TEST(Registry, RecordAndProbeShareOneSeries) {
+  cm::Registry reg;
+  const cm::Labels labels{{"node", "n0"}};
+  reg.record("load", labels, 0, 7);  // series exists before the probe binds
+  reg.register_probe("load", labels, [] { return 9.0; });
+  reg.sample_now(1);
+  reg.record("load", labels, 2, 8);  // and is appended to after it bound
+  reg.sample_now(3);
+  const auto* ts = reg.find("load", labels);
+  ASSERT_NE(ts, nullptr);
+  EXPECT_EQ(ts->samples(), (std::vector<std::pair<double, double>>{
+                               {0, 7}, {1, 9}, {2, 8}, {3, 9}}));
+  EXPECT_EQ(reg.select("load").size(), 1u);
+}
+
+TEST(Registry, ProbeRegisteredMidRunGetsItsOwnFirstSample) {
+  cs::Simulation sim;
+  cm::Registry reg;
+  reg.register_probe("early", {}, [] { return 1.0; });
+  auto stop = cs::make_event();
+  reg.start_sampler(sim, 10.0, stop);
+  sim.schedule(15.0, [&] { reg.register_probe("late", {}, [] { return 3.0; }); });
+  sim.schedule(35.0, [&] { stop->trigger(sim); });
+  sim.run(100.0);
+  const auto* early = reg.find("early");
+  const auto* late = reg.find("late");
+  ASSERT_NE(early, nullptr);
+  ASSERT_NE(late, nullptr);
+  EXPECT_NE(early, late);
+  // Sampler ticks at 0, 10, 20, 30, 40; "late" exists from the tick at 20.
+  EXPECT_EQ(early->samples().size(), 5u);
+  ASSERT_EQ(late->samples().size(), 3u);
+  EXPECT_DOUBLE_EQ(late->samples().front().first, 20.0);
+  EXPECT_DOUBLE_EQ(late->value_at(15.0), 0.0);
+  EXPECT_DOUBLE_EQ(late->value_at(20.0), 3.0);
+}
